@@ -49,6 +49,9 @@ from .systems import CircleRotation, Odometer
 from .towers import build_tower, disjoint_base, refine_tower
 
 
+BP_CAP = "DYNCOMP_BP_CAP"
+
+
 class _Usage(Exception):
     pass
 
@@ -182,50 +185,41 @@ def _params(spec, args):
 
 
 def load_specfile_checked(args):
+    """Load --spec; its bp-cap applies until run() returns (see run)."""
     if not args.spec:
         raise MalformedFile("this subcommand needs --spec")
     spec = load_specfile(args.spec)
-    if "bp_cap" in spec.params and "DYNCOMP_BP_CAP" not in os.environ:
-        os.environ["DYNCOMP_BP_CAP"] = str(spec.params["bp_cap"])
+    if "bp_cap" in spec.params and BP_CAP not in os.environ:
+        os.environ[BP_CAP] = str(spec.params["bp_cap"])
     return spec
+
+
+def _emit_comparison(args, spec, witness):
+    """Print the witness and the report of the construction's own check,
+    and write the certificate file when --out is given."""
+    report = witness.provenance.report
+    _witness_summary(witness)
+    _print_report(report)
+    if args.out:
+        inputs = tuple(zip((args.closed, args.open), witness.inputs))
+        write_certfile(args.out, make_certfile(spec.system, inputs, witness, report))
+        print("wrote %s" % args.out)
+    return 0 if report.ok else 3
 
 
 def cmd_compare(args):
     spec = load_specfile_checked(args)
-    C = spec.region(args.closed)
-    U = spec.region(args.open)
     fraction, depth, _ = _params(spec, args)
-    if isinstance(spec.system, Odometer):
-        witness = clopen_comparison(spec.system, C, U)
-    else:
-        witness = dynamic_comparison(spec.system, C, U, fraction, depth)
-    report = verify_witness(spec.system, C, U, witness)
-    _witness_summary(witness)
-    _print_report(report)
-    if args.out:
-        cf = make_certfile(
-            spec.system, ((args.closed, C), (args.open, U)), witness, report
-        )
-        write_certfile(args.out, cf)
-        print("wrote %s" % args.out)
-    return 0 if report.ok else 3
+    witness = dynamic_comparison(
+        spec.system, spec.region(args.closed), spec.region(args.open), fraction, depth
+    )
+    return _emit_comparison(args, spec, witness)
 
 
 def cmd_clopen_compare(args):
     spec = load_specfile_checked(args)
-    A = spec.region(args.closed)
-    B = spec.region(args.open)
-    witness = clopen_comparison(spec.system, A, B)
-    report = verify_witness(spec.system, A, B, witness)
-    _witness_summary(witness)
-    _print_report(report)
-    if args.out:
-        cf = make_certfile(
-            spec.system, ((args.closed, A), (args.open, B)), witness, report
-        )
-        write_certfile(args.out, cf)
-        print("wrote %s" % args.out)
-    return 0 if report.ok else 3
+    witness = clopen_comparison(spec.system, spec.region(args.closed), spec.region(args.open))
+    return _emit_comparison(args, spec, witness)
 
 
 def cmd_verify(args):
@@ -429,8 +423,7 @@ def oracle_clopen(args):
         b = sorted(rng.sample(range(K), b_size))
         A = CylinderRegion(system, a)
         B = CylinderRegion(system, b)
-        witness = clopen_comparison(system, A, B)
-        ok = verify_witness(system, A, B, witness).ok
+        ok = clopen_comparison(system, A, B).provenance.report.ok
         if ok and _brute_clopen_feasible(K, a, b):
             agree += 1
     print("trials %d agree %d/%d" % (args.trials, agree, args.trials))
@@ -602,6 +595,7 @@ def run(argv) -> int:
     except _Usage as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
+    prior_cap = os.environ.get(BP_CAP)
     try:
         return args.func(args)
     except (MalformedFile, OSError) as exc:
@@ -619,6 +613,11 @@ def run(argv) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        if prior_cap is None:
+            os.environ.pop(BP_CAP, None)
+        else:
+            os.environ[BP_CAP] = prior_cap
 
 
 def main():

@@ -11,8 +11,9 @@ order-preserving injection of C-levels into U-levels per column.  Level
 boundary points are mopped up by a leftover cover squeezed into U minus
 the retracted copy.
 
-Everything is exact; `verify_witness` re-checks the four witness clauses
-from scratch and reports failures instead of raising.
+Everything is exact.  Each construction checks its witness once with
+`verify_witness`, which re-checks the four clauses from scratch and reports
+failures instead of raising; the report rides along in the provenance.
 """
 
 import math
@@ -110,6 +111,7 @@ class ComparisonProvenance:
     tower: tuple  # ((height, cell measure), ...) per column
     tables: tuple
     leftover: int  # number of boundary points handed to the leftover cover
+    report: object = None  # the VerificationReport of the construction's check
 
 
 @dataclass(frozen=True)
@@ -311,15 +313,6 @@ def column_matching(source_counts, target_counts):
 # -- the circle pipeline
 
 
-def _checked_heights(system, cert, tower):
-    """Every distinct column height must keep the exact window minimum of
-    the gap function above sigma; otherwise the tower is too short."""
-    for n in sorted(set(tower.heights())):
-        S = birkhoff_sum(system, cert.g, n)
-        if global_extrema(S)[0] < cert.sigma * ExactScalar.rational(n):
-            raise _Retry("height %d falls below the certified average" % n)
-
-
 def _matched_levels(tower, tables):
     """For each table pair, the closed and open source level and the shift;
     also the union list of matched open levels."""
@@ -372,18 +365,12 @@ def _finite_comparison(system, C, U, search_depth):
             certificate=None, tower=(), tables=(), leftover=len(points)
         ),
     )
-    report = verify_witness(system, C, U, witness)
-    if not report.ok:
-        raise RuntimeError(
-            "point witness postcondition failed: " + "; ".join(report.failures)
-        )
-    return witness
+    return _verified(system, C, U, witness, "point witness")
 
 
 def _attempt(system, C, U, U0, cert, margins, N_base, search_depth):
     CC = C.closure()
     tower = build_tower(system, disjoint_base(system, N_base))
-    _checked_heights(system, cert, tower)
     rest = CC.union(U0.closure()).complement().closure()
     parts = [p for p in (CC, U0.closure(), rest) if not p.interior().is_empty]
     refined = refine_tower(tower, parts)
@@ -448,13 +435,14 @@ def dynamic_comparison(system, C, U, sigma_fraction=None, search_depth=None):
     if CC.is_empty:
         if U.is_empty:
             raise EmptyInput("open side of the comparison is empty")
-        return ComparisonWitness(
+        witness = ComparisonWitness(
             inputs=(C, U),
             entries=((PLFunction.constant(ZERO), 0),),
             provenance=ComparisonProvenance(
                 certificate=None, tower=(), tables=(), leftover=0
             ),
         )
+        return _verified(system, C, U, witness, "empty witness")
     fat = CC.interior()
     if fat.is_empty:
         return _finite_comparison(system, C, U, search_depth)
@@ -475,7 +463,7 @@ def dynamic_comparison(system, C, U, sigma_fraction=None, search_depth=None):
             continue
         report = verify_witness(system, C, U, witness)
         if report.ok:
-            return witness
+            return _with_report(witness, report)
         failure = RuntimeError(
             "witness verification failed: " + "; ".join(report.failures)
         )
@@ -519,15 +507,25 @@ def clopen_comparison(system, A, B):
             certificate=None, tower=((1, A.measure()),), tables=(table,), leftover=0
         ),
     )
-    report = verify_witness(system, A, B, witness)
-    if not report.ok:
-        raise RuntimeError(
-            "clopen witness postcondition failed: " + "; ".join(report.failures)
-        )
-    return witness
+    return _verified(system, A, B, witness, "clopen witness")
 
 
 # -- independent verification
+
+
+def _with_report(witness, report):
+    return replace(witness, provenance=replace(witness.provenance, report=report))
+
+
+def _verified(system, C, U, witness, what):
+    """The construction's one check: raise if a clause fails, else hand the
+    report back with the witness."""
+    report = verify_witness(system, C, U, witness)
+    if not report.ok:
+        raise RuntimeError(
+            "%s postcondition failed: %s" % (what, "; ".join(report.failures))
+        )
+    return _with_report(witness, report)
 
 
 def _verify_odometer(system, A, B, witness):

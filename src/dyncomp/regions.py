@@ -808,36 +808,6 @@ def translate_region(system, region, n: int):
     return region.translate(n)
 
 
-def region_algebra(op: str, *regions):
-    """Named dispatch kept for symmetry with the text interfaces."""
-    if not regions:
-        raise EmptyInput("no operands")
-    a = regions[0]
-    if op == "union":
-        out = a
-        for b in regions[1:]:
-            out = out.union(b)
-        return out
-    if op == "intersect":
-        out = a
-        for b in regions[1:]:
-            out = out.intersect(b)
-        return out
-    if op == "difference":
-        if len(regions) != 2:
-            raise ValueError("difference takes two operands")
-        return a.minus(regions[1])
-    if op == "complement":
-        if len(regions) != 1:
-            raise ValueError("complement takes one operand")
-        return a.complement()
-    if op == "closure":
-        return a.closure()
-    if op == "interior":
-        return a.interior()
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def measure_gap(system, C, U) -> ExactScalar:
     """mu(U) - mu(C); may be non-positive, callers decide."""
     return measure(system, U) - measure(system, C)
@@ -853,7 +823,7 @@ def small_nbhd(system, F, eps) -> object:
     if eps.sign() <= 0:
         raise ValueError("eps must be positive")
     if isinstance(system, Odometer):
-        if not region_is_empty(F):
+        if not F.is_empty:
             raise NotNull("odometer regions of measure zero are empty")
         K = system.resolution
         if (ExactScalar(1, 0, K) - eps).sign() >= 0:
@@ -867,10 +837,6 @@ def small_nbhd(system, F, eps) -> object:
     pts = F.point_list()
     r = eps / (4 * len(pts))
     return Region(system, [(p - r, p + r, False, False) for p in pts])
-
-
-def region_is_empty(region) -> bool:
-    return region.is_empty
 
 
 def inner_approx(system, U: Region, eps) -> Region:

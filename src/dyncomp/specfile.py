@@ -4,7 +4,7 @@ Grammar (UTF-8, `#` starts a comment, blank lines ignored, every block is
 closed by a bare `end`):
 
     system circle          # or: system odometer
-    field 5                # squarefree D for scalar triples (circle only)
+    field 5                # D <= 10^6 for scalar triples (circle only)
     theta -1 1 2           # rotation angle, here (-1 + 1*sqrt(5))/2
     end
 
@@ -39,6 +39,9 @@ from .scalars import ExactScalar
 from .systems import CircleRotation, Odometer
 
 PARAM_KEYS = ("epsilon", "sigma-fraction", "search-depth", "bp-cap")
+# Largest field D a file may declare: normalizing D factors it by trial
+# division, which must stay fast on hostile input.
+MAX_FIELD = 10**6
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,13 @@ def _int(tok, what):
         raise MalformedFile("bad %s %r" % (what, tok)) from None
 
 
+def _field(tok, what):
+    D = _int(tok, what)
+    if D > MAX_FIELD:
+        raise MalformedFile("field %d exceeds the bound %d" % (D, MAX_FIELD))
+    return D
+
+
 def _lines(text):
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -136,7 +146,7 @@ def parse_specfile(text) -> SpecFile:
             if kind == "circle":
                 for ln, toks in body:
                     if toks[0] == "field" and len(toks) == 2:
-                        field = _int(toks[1], "field")
+                        field = _field(toks[1], "field")
                     elif toks[0] == "theta":
                         theta, at = parse_scalar(toks, 1, field)
                         if at != len(toks):
@@ -242,7 +252,8 @@ def system_echo(system) -> str:
 
 def parse_system_echo(tokens):
     if tokens and tokens[0] == "circle" and len(tokens) == 5:
-        D, a, b, c = (_int(t, "system echo") for t in tokens[1:])
+        D = _field(tokens[1], "system echo")
+        a, b, c = (_int(t, "system echo") for t in tokens[2:])
         return CircleRotation(ExactScalar(a, b, c, D))
     if tokens and tokens[0] == "odometer" and len(tokens) >= 3:
         truncation = _int(tokens[1], "truncation")

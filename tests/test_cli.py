@@ -1,10 +1,11 @@
 import hashlib
+import os
 import random
 import re
 
 import pytest
 
-from dyncomp import cli
+from dyncomp import cli, comparison
 from dyncomp.certfile import (
     CertificateFile,
     emit_certfile,
@@ -25,6 +26,7 @@ from dyncomp.specfile import (
     system_echo,
 )
 from dyncomp.systems import CircleRotation, Odometer
+from dyncomp.towers import RokhlinTower
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -118,6 +120,7 @@ def test_parse_specfile_scalar_forms():
         "system circle\nfield 5\ntheta -1 1 2\n",  # unclosed block
         "system circle\nfield 5\nend\n",  # no theta
         "system odometer\nend\n",  # no bases
+        "system circle\nfield 1000000000000000003\ntheta -1 1 2\nend\n",  # D too large
         "",
     ],
 )
@@ -227,6 +230,7 @@ def test_certfile_roundtrip_random():
         "dyncomp-cert 2\ntool dyncomp 0\nsystem circle 5 -1 1 2\n",
         "dyncomp-cert 1\nsystem circle 5 -1 1 2\n",
         "dyncomp-cert 1\ntool dyncomp 0\nsystem klein 1\n",
+        "dyncomp-cert 1\ntool dyncomp 0\nsystem circle 1000000000000000003 -1 1 2\n",
         "dyncomp-cert 1\ntool dyncomp 0\nsystem circle 5 -1 1 2\nshift 0\n",
         "dyncomp-cert 1\ntool dyncomp 0\nsystem circle 5 -1 1 2\nbp 0 0 1 0 0 1\n",
         "dyncomp-cert 1\ntool dyncomp 0\nsystem circle 5 -1 1 2\nshift 0\nbp 0 0 1\n",
@@ -303,15 +307,63 @@ def test_cli_clopen_compare(tmp_path, capsys):
     assert cli.run(["verify", "--spec", spec, "--cert", cert]) == 0
 
 
+EMPTY_SOURCE_SPEC = (
+    "system circle\nfield 5\ntheta -1 1 2\nend\n"
+    "region F\nend\nregion E\npiece 0/1 1/2 open open\nend\n"
+)
+
+
 def test_cli_birkhoff_empty_source(tmp_path, capsys):
-    text = (
-        "system circle\nfield 5\ntheta -1 1 2\nend\n"
-        "region F\nend\nregion E\npiece 0/1 1/2 open open\nend\n"
-    )
-    spec = write(tmp_path, "b.spec", text)
+    spec = write(tmp_path, "b.spec", EMPTY_SOURCE_SPEC)
     assert cli.run(["birkhoff", "--spec", spec]) == 0
     out = capsys.readouterr().out
     assert "N0 4" in out and "N1 216" in out and "sigma 29/128" in out
+
+
+def test_cli_bp_cap_lasts_one_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DYNCOMP_BP_CAP", raising=False)
+    capped = write(tmp_path, "cap.spec", EMPTY_SOURCE_SPEC + "params\nbp-cap 5\nend\n")
+    plain = write(tmp_path, "plain.spec", EMPTY_SOURCE_SPEC)
+    assert cli.run(["birkhoff", "--check", "--spec", capped]) == 4  # S_4 needs 16
+    assert "DYNCOMP_BP_CAP" not in os.environ
+    assert cli.run(["birkhoff", "--check", "--spec", plain]) == 0
+    assert "DYNCOMP_BP_CAP" not in os.environ
+    monkeypatch.setenv("DYNCOMP_BP_CAP", "10000")
+    assert cli.run(["birkhoff", "--check", "--spec", capped]) == 0  # the caller's cap wins
+    assert os.environ["DYNCOMP_BP_CAP"] == "10000"
+    capsys.readouterr()
+
+
+def _count_calls(monkeypatch, owners, name):
+    """Replace owner.name by a counting wrapper on every owner; the returned
+    list grows by one per call."""
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cli_each_command_verifies_once(tmp_path, capsys, monkeypatch):
+    witness_checks = _count_calls(monkeypatch, (comparison, cli), "verify_witness")
+    tower_checks = _count_calls(monkeypatch, (RokhlinTower,), "verify")
+    golden = write(tmp_path, "g.spec", SMALL_SPEC)
+    odo = write(tmp_path, "o.spec", ODO_SPEC)
+    for argv, witnesses, towers in (
+        (["compare", "--spec", golden, "--out", str(tmp_path / "g.cert")], 1, 1),
+        (["compare", "--spec", odo, "--closed", "A", "--open", "B"], 1, 0),
+        (["clopen-compare", "--spec", odo, "--out", str(tmp_path / "o.cert")], 1, 0),
+        (["refine", "--spec", golden, "--base", "0/1", "theta", "--parts", "C", "U"], 0, 1),
+    ):
+        del witness_checks[:], tower_checks[:]
+        assert cli.run(argv) == 0
+        assert (len(witness_checks), len(tower_checks)) == (witnesses, towers), argv
+    capsys.readouterr()
 
 
 def test_cli_smallness_and_thincover(tmp_path, capsys):

@@ -173,7 +173,7 @@ def test_dynamic_comparison_small_instance():
     U = open_arc(GOLDEN, R(1, 4), HALF)
     w = cp.dynamic_comparison(GOLDEN, C, U)
     report = cp.verify_witness(GOLDEN, C, U, w)
-    assert report.ok
+    assert report.ok and w.provenance.report == report
     assert w.provenance.certificate is not None
     assert w.provenance.leftover > 0
     # strictly more targets than sources in every matched column
@@ -197,7 +197,8 @@ def test_dynamic_comparison_empty_closed_set():
     assert len(w.entries) == 1
     f, d = w.entries[0]
     assert d == 0 and f.range_bounds() == (ZERO, ZERO)
-    assert cp.verify_witness(GOLDEN, Region.empty(GOLDEN), U, w).ok
+    report = cp.verify_witness(GOLDEN, Region.empty(GOLDEN), U, w)
+    assert report.ok and w.provenance.report == report
 
 
 def test_dynamic_comparison_gap_nonpositive():
@@ -215,7 +216,8 @@ def test_dynamic_comparison_finite_closed_set():
     assert len(w.entries) == len(pts)
     assert w.provenance.certificate is None and w.provenance.tower == ()
     assert w.provenance.leftover == len(pts)
-    assert cp.verify_witness(GOLDEN, C, U, w).ok
+    report = cp.verify_witness(GOLDEN, C, U, w)
+    assert report.ok and w.provenance.report == report
     # the point in U may stay put, the others must move
     shifts = [d for _, d in w.entries]
     assert any(d != 0 for d in shifts)
@@ -294,7 +296,8 @@ def test_clopen_comparison_frozen():
     w = cp.clopen_comparison(odo, A, B)
     (table,) = w.provenance.tables
     assert table.pairs == ((0, 3, 3), (1, 5, 4))
-    assert cp.verify_witness(odo, A, B, w).ok
+    report = cp.verify_witness(odo, A, B, w)
+    assert report.ok and w.provenance.report == report
 
 
 def test_clopen_comparison_subset_identity():

@@ -5,7 +5,13 @@ from dyncomp.errors import EmptyInput, InvalidPartition, MixedAmbient, NonTermin
 from dyncomp.regions import CylinderRegion, Region
 from dyncomp.scalars import ExactScalar, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
-from dyncomp.towers import build_tower, disjoint_base, first_return, refine_tower
+from dyncomp.towers import (
+    RokhlinTower,
+    build_tower,
+    disjoint_base,
+    first_return,
+    refine_tower,
+)
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -75,6 +81,38 @@ def test_odometer_towers():
     assert tower3.columns == ((CylinderRegion(odo6, [0, 3]), 3),)
 
 
+def test_verify_rejects_broken_towers():
+    tower = build_tower(GOLDEN, golden_base())
+    short = tower.columns[0][0]  # the height-1 cell
+    half = Region.interval(GOLDEN, R(0), R(1, 2))
+    odo = Odometer([2, 2])
+
+    def cyl(*indices):
+        return CylinderRegion(odo, indices)
+
+    broken = (
+        # a column dropped: disjoint levels over the cells left, but Kac fails
+        (RokhlinTower(GOLDEN, short, ((short, 1),)), "Kac"),
+        (RokhlinTower(odo, cyl(0), ((cyl(0), 2),)), "Kac"),
+        # two columns overlapping, with Kac and the base union intact
+        (
+            RokhlinTower(
+                GOLDEN,
+                Region.interval(GOLDEN, R(0), R(3, 4)),
+                ((half, 1), (Region.interval(GOLDEN, R(1, 4), R(3, 4)), 1)),
+            ),
+            "overlap",
+        ),
+        (RokhlinTower(odo, cyl(0, 2), ((cyl(0), 3), (cyl(2), 1))), "overlap"),
+        # cells that do not union to the base
+        (RokhlinTower(GOLDEN, half, tower.columns), "base"),
+        (RokhlinTower(odo, cyl(0, 1), ((cyl(0), 2), (cyl(2), 2))), "base"),
+    )
+    for bad, reason in broken:
+        with pytest.raises(RuntimeError, match=reason):
+            bad.verify()
+
+
 def test_disjoint_base_golden():
     Y1 = disjoint_base(GOLDEN, 1)
     assert Y1.measure() == ExactScalar(3, -1, 6, 5)  # (3 - sqrt 5)/6
@@ -102,6 +140,7 @@ def test_refine_by_halves():
         Region.interval(GOLDEN, R(1, 2), R(1), True, False),
     ]
     refined = refine_tower(tower, parts)
+    refined.verify()
     assert refined.base == tower.base
     for _, _, level in refined.open_levels():
         holders = [p for p in parts if p.contains_region(level)]
@@ -169,6 +208,7 @@ def test_odometer_refine():
     tower = build_tower(odo, CylinderRegion(odo, [0, 2]))
     parts = [CylinderRegion(odo, [0, 1]), CylinderRegion(odo, [2, 3])]
     refined = refine_tower(tower, parts)
+    refined.verify()
     assert refined.columns == (
         (CylinderRegion(odo, [0]), 2),
         (CylinderRegion(odo, [2]), 2),
