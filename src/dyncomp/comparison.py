@@ -34,13 +34,14 @@ from .plfun import (
     PLFunction,
     birkhoff_sum,
     bump,
+    check_bp_budget,
     extrema_on,
     global_extrema,
     integral,
     min_cascade,
     pl_combine,
     sum_of,
-    support_report,
+    support_of,
     translate_fn,
 )
 from .regions import (
@@ -180,6 +181,7 @@ def birkhoff_certificate(system, F, E, sigma_fraction=None) -> BirkhoffCertifica
     while not global_extrema(S)[0] > bound:
         if 2 * N > _DOUBLING_GUARD:
             raise NonTerminationGuard("Birkhoff doubling exceeded the guard")
+        check_bp_budget(g, 2 * N)
         S = sum_of([S, translate_fn(system, S, -N)])
         N *= 2
         bound = bound + bound
@@ -210,6 +212,7 @@ def verify_certificate(system, cert, Ns=None):
         failures.append("recorded m0 is not the exact minimum at N0")
     sums = {}
     for N in sorted(set(int(n) for n in (Ns or (cert.N1, cert.N1 + 1, 2 * cert.N1)))):
+        check_bp_budget(cert.g, N)
         half = sums.get(N // 2) if N % 2 == 0 else None
         if half is not None:
             S = sum_of([half, translate_fn(system, half, -(N // 2))])
@@ -593,7 +596,7 @@ def verify_witness(system, C, U, witness) -> VerificationReport:
             failures.append("sum over the closed set spans [%s, %s]" % (mn, mx))
     translated = []
     for i, (f, d) in enumerate(witness.entries):
-        sup = support_report(system, f).support
+        sup = support_of(system, f)
         translated.append(translate_region(system, sup, d))
     nonempty = [r for r in translated if not r.is_empty]
     disj_ok = pairwise_disjoint(system, nonempty)

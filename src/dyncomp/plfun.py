@@ -14,6 +14,8 @@ import bisect
 import heapq
 import os
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import (
     BreakpointBudget,
@@ -81,6 +83,18 @@ class PLFunction:
         pts = _prune(pts)
         object.__setattr__(self, "breakpoints", tuple(pts))
         object.__setattr__(self, "_xs", tuple(p[0] for p in pts))
+
+    @classmethod
+    def _canonical(cls, pts) -> "PLFunction":
+        """A PLFunction from breakpoints that are canonical by construction:
+        exact, abscissae strictly increasing in [0, 1), the slope changing
+        at every one of them (or the single point (0, c)).  Skips the
+        sort, the duplicate check and the pruning of the public
+        constructor; anything parsed or hand-built goes through that."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "breakpoints", tuple(pts))
+        object.__setattr__(f, "_xs", tuple(p[0] for p in pts))
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("PLFunction is immutable")
@@ -150,19 +164,15 @@ class SupportReport:
     one_set: object
 
 
-def support_report(system, f) -> SupportReport:
+def support_of(system, f):
+    """Closure of {f != 0}: a CylinderRegion for a cylinder function, a
+    closed Region for a PL function."""
     if isinstance(f, CylinderFunction):
-        nz = [i for i, v in enumerate(f.values) if v.sign() != 0]
-        ones = [i for i, v in enumerate(f.values) if v == ONE]
-        return SupportReport(CylinderRegion(system, nz), CylinderRegion(system, ones))
+        return CylinderRegion(system, [i for i, v in enumerate(f.values) if v.sign() != 0])
     bps = f.breakpoints
     if len(bps) == 1:
-        v = bps[0][1]
-        sup = Region.empty(system) if v.sign() == 0 else Region.full(system)
-        one = Region.full(system) if v == ONE else Region.empty(system)
-        return SupportReport(sup, one)
+        return Region.empty(system) if bps[0][1].sign() == 0 else Region.full(system)
     nz = []
-    ones = []
     for i in range(len(bps)):
         xa, va, xb, vb = f._segment(i)
         sa, sb = va.sign(), vb.sign()
@@ -179,6 +189,22 @@ def support_report(system, f) -> SupportReport:
             xc = xa + (xb - xa) * t
             nz.append((xa, xc, True, False))
             nz.append((xc, xb, False, True))
+    return Region(system, nz).closure()
+
+
+def support_report(system, f) -> SupportReport:
+    """support_of(system, f) together with the exact level set {f = 1}."""
+    sup = support_of(system, f)
+    if isinstance(f, CylinderFunction):
+        ones = [i for i, v in enumerate(f.values) if v == ONE]
+        return SupportReport(sup, CylinderRegion(system, ones))
+    bps = f.breakpoints
+    if len(bps) == 1:
+        one = Region.full(system) if bps[0][1] == ONE else Region.empty(system)
+        return SupportReport(sup, one)
+    ones = []
+    for i in range(len(bps)):
+        xa, va, xb, vb = f._segment(i)
         da, db = (va - ONE).sign(), (vb - ONE).sign()
         if da == 0 and db == 0:
             ones.append((xa, xb, True, True))
@@ -190,7 +216,7 @@ def support_report(system, f) -> SupportReport:
             t = (va - ONE) / (va - vb)
             xc = xa + (xb - xa) * t
             ones.append((xc, xc, True, True))
-    return SupportReport(Region(system, nz).closure(), Region(system, ones))
+    return SupportReport(sup, Region(system, ones))
 
 
 # -- lattice and linear operations
@@ -201,62 +227,106 @@ def _scale(f, c):
     return PLFunction([(x, v * c) for x, v in f.breakpoints])
 
 
+def _slopes(f):
+    """Slope of every segment of f, the last one wrapping 1 -> 0."""
+    bps = f.breakpoints
+    out = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, bps[1:])]
+    (xa, va), (xb, vb) = bps[-1], bps[0]
+    out.append((vb - va) / (xb + ONE - xa))
+    return out
+
+
+def _merged(fns):
+    """The distinct abscissae of fns in increasing order, each paired with
+    the (function index, breakpoint index) pairs that sit on it.
+
+    Every _xs is sorted already, so this is one k-way merge, not a sort.
+    """
+    streams = [zip(f._xs, repeat(fi), range(len(f._xs))) for fi, f in enumerate(fns)]
+    at, owners = None, []
+    for x, fi, i in heapq.merge(*streams, key=itemgetter(0)):
+        if owners and x == at:
+            owners.append((fi, i))
+            continue
+        if owners:
+            yield at, owners
+        at, owners = x, [(fi, i)]
+    yield at, owners
+
+
 def sum_of(fns) -> PLFunction:
-    """Exact sum of many PL functions by one slope-event sweep."""
+    """Exact sum of many PL functions by one sweep over their merged
+    breakpoints.
+
+    The total slope changes only at the inputs' breakpoints, so the sum's
+    canonical breakpoints are the merged abscissae where it does change;
+    the sweep starts on the segment that wraps into the first abscissa, so
+    that one is tested like any other.  No slope change at all means a
+    constant.
+    """
     fns = list(fns)
     if not fns:
         raise EmptyInput("sum of no functions")
     if len(fns) == 1:
         return fns[0]
-    xs = sorted({x for f in fns for x in f._xs})
-    x0 = xs[0]
-    events = {}
-    slopes = []
-    total_v = ZERO
-    total_s = ZERO
-    for fi, f in enumerate(fns):
-        total_v = total_v + f.evaluate(x0)
-        bps = f.breakpoints
-        if len(bps) == 1:
-            slopes.append(ZERO)
-            continue
-        if bps[0][0] == x0:
-            s = f._slope(0)
-            start = 1
+    x0 = min(f._xs[0] for f in fns)
+    slopes = [_slopes(f) for f in fns]
+    value = ZERO
+    slope = ZERO
+    for f, s in zip(fns, slopes):
+        value = value + f.evaluate(x0)
+        slope = slope + s[-1]
+    out = []
+    at = x0
+    for x, owners in _merged(fns):
+        new = slope
+        for fi, i in owners:
+            s = slopes[fi]
+            new = new + (s[i] - s[i - 1])
+        if new != slope:
+            value = value + slope * (x - at)
+            at = x
+            out.append((x, value))
+            slope = new
+    return PLFunction._canonical(out or [(ZERO, value)])
+
+
+def _walk(f, fi, merged):
+    """f at every merged abscissa, walking along f's segments once."""
+    bps = f.breakpoints
+    slopes = _slopes(f)
+    xa, va = bps[-1]
+    xa = xa - ONE
+    slope = slopes[-1]
+    out = []
+    for x, owners in merged:
+        for gi, i in owners:
+            if gi == fi:
+                xa, va = bps[i]
+                slope = slopes[i]
+                out.append(va)
+                break
         else:
-            s = f._slope(len(bps) - 1)
-            start = 0
-        slopes.append(s)
-        total_s = total_s + s
-        for i in range(start, len(bps)):
-            events.setdefault(bps[i][0], []).append((fi, i))
-    out = [(x0, total_v)]
-    prev = x0
-    for x in xs[1:]:
-        total_v = total_v + total_s * (x - prev)
-        for fi, i in events.get(x, ()):
-            ns = fns[fi]._slope(i)
-            total_s = total_s + ns - slopes[fi]
-            slopes[fi] = ns
-        out.append((x, total_v))
-        prev = x
-    return PLFunction(out)
+            out.append(va + slope * (x - xa))
+    return out
 
 
 def _min2(f, g) -> PLFunction:
-    xs = sorted(set(f._xs) | set(g._xs))
-    n = len(xs)
+    merged = list(_merged((f, g)))
+    fv = _walk(f, 0, merged)
+    gv = _walk(g, 1, merged)
+    diff = [a - b for a, b in zip(fv, gv)]
+    signs = [d.sign() for d in diff]
+    n = len(merged)
     out = []
-    for j, xa in enumerate(xs):
-        xb = xs[(j + 1) % n]
-        lift = xb if j + 1 < n else xb + ONE
-        fa, ga = f.evaluate(xa), g.evaluate(xa)
-        fb, gb = f.evaluate(xb), g.evaluate(xb)
-        out.append((xa, fa if fa < ga else ga))
-        da, db = fa - ga, fb - gb
-        if da.sign() * db.sign() < 0:
-            t = da / (da - db)
-            out.append(((xa + (lift - xa) * t).frac(), fa + (fb - fa) * t))
+    for j in range(n):
+        xa, fa = merged[j][0], fv[j]
+        out.append((xa, fa if signs[j] < 0 else gv[j]))
+        k = j + 1 if j + 1 < n else 0
+        if signs[j] * signs[k] < 0:
+            xb = merged[k][0] if k else merged[0][0] + ONE
+            t = diff[j] / (diff[j] - diff[k])
+            out.append(((xa + (xb - xa) * t).frac(), fa + (fv[k] - fa) * t))
     return PLFunction(out)
 
 
@@ -296,10 +366,16 @@ def translate_fn(system, f, n: int):
         return f.translate(n)
     if not isinstance(system, CircleRotation):
         raise MixedAmbient("translate_fn needs a circle rotation or odometer")
-    if n == 0:
+    bps = f.breakpoints
+    if n == 0 or len(bps) == 1:
         return f
-    shift = system.theta * ExactScalar.rational(n)
-    return PLFunction([((x + shift).frac(), v) for x, v in f.breakpoints])
+    # rotation: the points at or past 1 - shift wrap round to the front
+    shift = (system.theta * ExactScalar.rational(n)).frac()
+    k = bisect.bisect_left(f._xs, ONE - shift)
+    back = shift - ONE
+    return PLFunction._canonical(
+        [(x + back, v) for x, v in bps[k:]] + [(x + shift, v) for x, v in bps[:k]]
+    )
 
 
 _DEFAULT_BP_CAP = 10**7
@@ -309,6 +385,16 @@ def _bp_cap() -> int:
     return int(os.environ.get("DYNCOMP_BP_CAP", _DEFAULT_BP_CAP))
 
 
+def check_bp_budget(g, N: int) -> None:
+    """Raise BreakpointBudget when S_N g may need more breakpoints than the
+    cap allows (N * |breakpoints of g| bounds them)."""
+    cap = _bp_cap()
+    if N * len(g.breakpoints) > cap:
+        raise BreakpointBudget(
+            "S_%d would need up to %d breakpoints (cap %d)" % (N, N * len(g.breakpoints), cap)
+        )
+
+
 def birkhoff_sum(system, g, N: int) -> PLFunction:
     """Unnormalized sum S_N g = sum_{j<N} g o h^j, by cocycle doubling."""
     if not isinstance(system, CircleRotation):
@@ -316,11 +402,7 @@ def birkhoff_sum(system, g, N: int) -> PLFunction:
     N = int(N)
     if N < 1:
         raise ValueError("Birkhoff sum needs N >= 1")
-    if N * len(g.breakpoints) > _bp_cap():
-        raise BreakpointBudget(
-            "S_%d would need up to %d breakpoints (cap %d)"
-            % (N, N * len(g.breakpoints), _bp_cap())
-        )
+    check_bp_budget(g, N)
     S = g
     cur = 1
     for bit in bin(N)[3:]:
@@ -435,7 +517,7 @@ def _support_pieces(system, gs):
     out = []
     sups = []
     for i, g in enumerate(gs):
-        sup = support_report(system, g).support
+        sup = support_of(system, g)
         sups.append(sup)
         for lo, hi, _, _ in sup.pieces:
             out.append((lo, hi, i))

@@ -36,7 +36,7 @@ from .regions import (
     translate_region,
     union_many,
 )
-from .plfun import bump, extrema_on, min_cascade, support_report, sum_of
+from .plfun import bump, extrema_on, min_cascade, sum_of, support_of
 
 DEFAULT_DEPTH = 10**4
 
@@ -501,7 +501,7 @@ def verify_leftover_cover(system, F, U, eps, cover):
         if mn != ONE or mx != ONE:
             failures.append("clause 3: sum is not 1 on the pulled-back mids")
         for f, W, d in zip(cover.functions, cover.opens, cover.shifts):
-            sup = support_report(system, f).support
+            sup = support_of(system, f)
             if not W.contains_region(translate_region(system, sup, d)):
                 failures.append("clause 4: translated support leaves W")
         lo_ok = all(f.range_bounds()[0].sign() >= 0 for f in cover.functions)

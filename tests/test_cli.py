@@ -334,6 +334,62 @@ def test_cli_bp_cap_lasts_one_run(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+# The README's golden spec with the Birkhoff pair F = [0, 1/10], E = (3/10, 3/5)
+GOLDEN_FE_SPEC = """\
+# golden rotation, a closed arc C and a fatter open arc U
+system circle
+  field 5
+  theta -1 1 2
+end
+
+region C
+  piece 0 0 1 1 0 5 closed closed
+end
+
+region U
+  piece 3 0 10 6 0 10 open open
+end
+
+region F
+  piece 0 0 1 1 0 10 closed closed
+end
+
+region E
+  piece 3 0 10 3 0 5 open open
+end
+"""
+
+
+def sha256(data):
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def test_cli_golden_outputs_byte_identical(tmp_path, capsys):
+    # digests of compare stdout (up to its "wrote" line), the certificate
+    # file and birkhoff --check stdout, as first emitted; any change to the
+    # exact kernels that moves one byte of output fails here
+    spec = write(tmp_path, "golden.spec", GOLDEN_FE_SPEC)
+    cert = tmp_path / "golden.cert"
+    assert cli.run(["compare", "--spec", spec, "--out", str(cert)]) == 0
+    body, _, wrote = capsys.readouterr().out.rpartition("wrote ")
+    assert wrote == "%s\n" % cert
+    assert sha256(body) == "2e7eab51d34aacb66c230fdb6ad4545b60d97019581784db818ced2618cf8082"
+    assert sha256(cert.read_bytes()) == (
+        "d1f432ebb84ec8e5928a0a0e32470ba6f3154100bdb671c66a6a2ba4b0503d55"
+    )
+    assert cli.run(["verify", "--spec", spec, "--cert", str(cert)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict pass ranges within [0, 1]",
+        "verdict pass sums to 1 on the closed set",
+        "verdict pass translated supports pairwise disjoint",
+        "verdict pass translated supports inside the open set",
+    ]
+    assert cli.run(["birkhoff", "--spec", spec, "--check"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("checked N1 N1+1 2*N1\n")
+    assert sha256(out) == "681e6fd5676c4e0a594214773a356d3ddd371324f5386ebaa40195c21618a827"
+
+
 def _count_calls(monkeypatch, owners, name):
     """Replace owner.name by a counting wrapper on every owner; the returned
     list grows by one per call."""

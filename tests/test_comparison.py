@@ -1,9 +1,11 @@
 import dataclasses
 import random
+from time import perf_counter
 
 import pytest
 
 from dyncomp.errors import (
+    BreakpointBudget,
     ColumnDeficit,
     EmptyInput,
     GapNonpositive,
@@ -129,6 +131,30 @@ def test_birkhoff_certificate_errors():
         )
     with pytest.raises(EmptyInput):
         cp.birkhoff_certificate(GOLDEN, Region.empty(GOLDEN), Region.empty(GOLDEN))
+
+
+def test_birkhoff_certificate_doubling_budget(monkeypatch):
+    # g has 8 breakpoints, so the first doubling (S_2) would need up to 16
+    monkeypatch.setenv("DYNCOMP_BP_CAP", "10")
+    start = perf_counter()
+    with pytest.raises(BreakpointBudget, match="S_2 "):
+        cp.birkhoff_certificate(
+            GOLDEN, closed_arc(GOLDEN, ZERO, R(1, 10)), open_arc(GOLDEN, R(3, 10), R(6, 10))
+        )
+    assert perf_counter() - start < 1.0
+
+
+def test_verify_certificate_window_budget(monkeypatch):
+    # the cap admits S_N1, built by birkhoff_sum, but not the window at
+    # N1 + 1, which is built from S_N1 by one more sum
+    cert = cp.birkhoff_certificate(GOLDEN, Region.empty(GOLDEN), open_arc(GOLDEN, ZERO, HALF))
+    monkeypatch.setenv("DYNCOMP_BP_CAP", str(cert.N1 * len(cert.g.breakpoints)))
+    start = perf_counter()
+    with pytest.raises(BreakpointBudget, match="S_%d " % (cert.N1 + 1)):
+        cp.verify_certificate(GOLDEN, cert)
+    with pytest.raises(BreakpointBudget, match="S_%d " % (2 * cert.N1)):
+        cp.verify_certificate(GOLDEN, cert, Ns=(cert.N1, 2 * cert.N1))
+    assert perf_counter() - start < 1.0
 
 
 def test_simplify_inputs_frozen():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyncomp.errors import BreakpointBudget, CoverFailure, EmptyInput, NoGap
 from dyncomp.plfun import (
@@ -15,6 +16,7 @@ from dyncomp.plfun import (
     min_cascade,
     partition_of_unity,
     pl_combine,
+    support_of,
     support_report,
     sum_of,
     translate_fn,
@@ -25,6 +27,7 @@ from dyncomp.systems import Odometer, CircleRotation, apply
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
+THETA = GOLDEN.theta
 
 
 def closed(system, lo, hi):
@@ -144,6 +147,7 @@ def test_support_and_one_set():
     rep = support_report(GOLDEN, f)
     assert rep.support == closed(GOLDEN, R(3, 16), R(9, 16))
     assert rep.one_set == closed(GOLDEN, R(1, 4), R(1, 2))
+    assert support_of(GOLDEN, f) == rep.support
     zero = PLFunction.constant(R(0))
     rep0 = support_report(GOLDEN, zero)
     assert rep0.support.is_empty and rep0.one_set.is_empty
@@ -302,6 +306,81 @@ def test_cylinder_functions():
     rep = support_report(odo, moved)
     assert sorted(rep.support.indices) == [1, 5]
     assert rep.support == rep.one_set
+    assert support_of(odo, moved) == rep.support
     assert integral(odo, ind) == R(1, 3)
     tot = ind.add(moved)
     assert tot.range_bounds() == (R(0), R(1))
+
+
+# -- properties of the linear-time kernel against the evaluate-based oracle
+
+
+@st.composite
+def pl_functions(draw, max_points=6):
+    """A PL function through the validating constructor: abscissae k/16 or
+    frac(m*theta + r/8) in Q(sqrt 5), values (a + b*sqrt 5)/4."""
+    pts = {}
+    for _ in range(draw(st.integers(1, max_points))):
+        if draw(st.booleans()):
+            x = R(draw(st.integers(0, 15)), 16)
+        else:
+            x = (THETA * R(draw(st.integers(-50, 50))) + R(draw(st.integers(0, 7)), 8)).frac()
+        pts[x] = ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, 5)
+    return PLFunction(list(pts.items()))
+
+
+def assert_canonical(f):
+    assert PLFunction(list(f.breakpoints)) == f
+    assert f._xs == tuple(x for x, _ in f.breakpoints)
+
+
+def probe_points(*fns):
+    """Every breakpoint abscissa of fns, and the midpoint of each gap between
+    consecutive ones (wrapping), where a missed kink would show."""
+    xs = sorted({x for f in fns for x in f._xs})
+    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    mids.append(((xs[-1] + xs[0] + 1) / 2).frac())
+    return xs + mids
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(pl_functions(), min_size=2, max_size=5))
+def test_sum_of_matches_pointwise_sum(fns):
+    for args in (fns[:2], fns):
+        total = sum_of(args)
+        assert_canonical(total)
+        for x in probe_points(total, *args):
+            assert total.evaluate(x) == sum((f.evaluate(x) for f in args), R(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pl_functions(), pl_functions())
+def test_min_max_match_pointwise(f, g):
+    for op, pick in (("min", min), ("max", max)):
+        out = pl_combine(op, (f, g))
+        assert_canonical(out)
+        for x in probe_points(out, f, g):
+            assert out.evaluate(x) == pick(f.evaluate(x), g.evaluate(x))
+
+
+# a breakpoint at frac(-3 theta) lands exactly on the seam 1 - frac(3 theta)
+@example(PLFunction([((THETA * R(-3)).frac(), R(1)), (R(1, 2), R(0))]), 3)
+@settings(max_examples=150, deadline=None)
+@given(pl_functions(), st.integers(-50, 50))
+def test_translate_fn_is_a_rotation(f, n):
+    moved = translate_fn(GOLDEN, f, n)
+    assert_canonical(moved)
+    shift = THETA * R(n)
+    assert moved == PLFunction([((x + shift).frac(), v) for x, v in f.breakpoints])
+    for x in probe_points(f):
+        assert moved.evaluate(x + shift) == f.evaluate(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pl_functions(max_points=4), st.integers(1, 9))
+def test_birkhoff_sum_matches_orbit_sum(g, N):
+    S = birkhoff_sum(GOLDEN, g, N)
+    assert_canonical(S)
+    for x in probe_points(S, g):
+        orbit = [g.evaluate(apply(GOLDEN, x, j)) for j in range(N)]
+        assert S.evaluate(x) == sum(orbit, R(0))
