@@ -27,6 +27,7 @@ from .comparison import (
     ComparisonWitness,
     birkhoff_certificate,
     clopen_comparison,
+    column_counts,
     dynamic_comparison,
     verify_certificate,
     verify_witness,
@@ -137,8 +138,6 @@ def cmd_refine(args):
             parts.append(rest)
     refined = refine_tower(tower, parts)
     _print_tower(refined)
-    from .comparison import column_counts
-
     for name in args.parts:
         counts = column_counts(refined, spec.region(name))
         print("part %s levels %d" % (name, sum(len(c) for c in counts)))

@@ -16,7 +16,6 @@ Everything is exact.  Each construction checks its witness once with
 failures instead of raising; the report rides along in the provenance.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -35,18 +34,17 @@ from .plfun import (
     birkhoff_sum,
     bump,
     check_bp_budget,
-    extrema_on,
+    difference,
     global_extrema,
     integral,
     min_cascade,
-    pl_combine,
+    sum_extrema_on,
     sum_of,
     support_of,
     translate_fn,
 )
 from .regions import (
     CylinderRegion,
-    Region,
     measure_gap,
     outer_approx,
     pairwise_disjoint,
@@ -170,7 +168,7 @@ def birkhoff_certificate(system, F, E, sigma_fraction=None) -> BirkhoffCertifica
         g0 = bump(FC, W0)
     core, _ = regular_inner_approx(system, E, eps)
     g1 = bump(core.closure(), E.interior())
-    g = pl_combine("difference", (g1, g0))
+    g = difference(g1, g0)
     mass = integral(system, g)
     if mass.sign() <= 0:
         raise GapNonpositive("gap function has non-positive integral")
@@ -203,7 +201,7 @@ def verify_certificate(system, cert, Ns=None):
         lo, hi = f.range_bounds()
         if lo.sign() < 0 or (hi - ONE).sign() > 0:
             failures.append("%s leaves [0, 1]" % name)
-    if cert.g != pl_combine("difference", (cert.g1, cert.g0)):
+    if cert.g != difference(cert.g1, cert.g0):
         failures.append("g is not g1 - g0")
     if not (cert.m0 - cert.sigma).sign() > 0:
         failures.append("m0 does not exceed sigma")
@@ -263,20 +261,6 @@ def column_counts(tower, S):
     tower was not refined against S and raises UnrefinedTower.  Columns
     with empty interior have no open levels and yield empty tuples.
     """
-    if isinstance(tower.system, Odometer):
-        K = tower.system.resolution
-        inside = set(S.indices)
-        out = []
-        for cell, n in tower.columns:
-            hits = []
-            for j in range(n):
-                level = {(i + j) % K for i in cell.indices}
-                if level <= inside:
-                    hits.append(j)
-                elif level & inside:
-                    raise UnrefinedTower("level straddles the test region")
-            out.append(tuple(hits))
-        return tuple(out)
     out = []
     for k, (cell, n) in enumerate(tower.columns):
         if tower.interior_empty(k):
@@ -531,53 +515,10 @@ def _verified(system, C, U, witness, what):
     return _with_report(witness, report)
 
 
-def _verify_odometer(system, A, B, witness):
-    K = system.resolution
-    failures = []
-    ranges_ok = True
-    for i, (f, _) in enumerate(witness.entries):
-        lo, hi = f.range_bounds()
-        if lo.sign() < 0 or (hi - ONE).sign() > 0:
-            ranges_ok = False
-            failures.append("entry %d leaves [0, 1]" % i)
-    part_ok = True
-    for idx in sorted(A.indices):
-        total = ZERO
-        for f, _ in witness.entries:
-            total = total + f.evaluate(idx)
-        if total != ONE:
-            part_ok = False
-            failures.append("sum is %s at index %d" % (total, idx))
-    supports = []
-    for f, d in witness.entries:
-        supports.append({(i + d) % K for i, v in enumerate(f.values) if v != ZERO})
-    disj_ok = True
-    seen = set()
-    for i, sup in enumerate(supports):
-        if seen & sup:
-            disj_ok = False
-            failures.append("translated support %d overlaps an earlier one" % i)
-        seen |= sup
-    inside_ok = True
-    for i, sup in enumerate(supports):
-        if not sup <= set(B.indices):
-            inside_ok = False
-            failures.append("translated support %d leaves the target" % i)
-    clauses = (
-        ("ranges within [0, 1]", ranges_ok),
-        ("sums to 1 on the closed set", part_ok),
-        ("translated supports pairwise disjoint", disj_ok),
-        ("translated supports inside the open set", inside_ok),
-    )
-    return VerificationReport(clauses=clauses, failures=tuple(failures))
-
-
 def verify_witness(system, C, U, witness) -> VerificationReport:
     """Re-check the four witness clauses exactly; failures become report
     entries, never exceptions."""
-    if isinstance(system, Odometer):
-        return _verify_odometer(system, C, U, witness)
-    if not isinstance(system, CircleRotation):
+    if not isinstance(system, (CircleRotation, Odometer)):
         raise MixedAmbient("witness verification runs over circle rotations and odometers")
     failures = []
     ranges_ok = True
@@ -589,8 +530,7 @@ def verify_witness(system, C, U, witness) -> VerificationReport:
     part_ok = True
     CC = C.closure()
     if not CC.is_empty:
-        total = sum_of([f for f, _ in witness.entries])
-        mn, mx = extrema_on(total, CC)
+        mn, mx = sum_extrema_on([f for f, _ in witness.entries], CC)
         if mn != ONE or mx != ONE:
             part_ok = False
             failures.append("sum over the closed set spans [%s, %s]" % (mn, mx))

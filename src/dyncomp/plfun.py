@@ -222,9 +222,15 @@ def support_report(system, f) -> SupportReport:
 # -- lattice and linear operations
 
 
-def _scale(f, c):
+def scale(f, c) -> PLFunction:
+    """c * f, exactly."""
     c = ExactScalar.coerce(c)
     return PLFunction([(x, v * c) for x, v in f.breakpoints])
+
+
+def difference(f, g) -> PLFunction:
+    """f - g, exactly."""
+    return sum_of([f, scale(g, -1)])
 
 
 def _slopes(f):
@@ -311,7 +317,9 @@ def _walk(f, fi, merged):
     return out
 
 
-def _min2(f, g) -> PLFunction:
+def minimum(f, g) -> PLFunction:
+    """Pointwise min; its breakpoints are the operands' plus exactly the
+    abscissae where they cross."""
     merged = list(_merged((f, g)))
     fv = _walk(f, 0, merged)
     gv = _walk(g, 1, merged)
@@ -330,33 +338,9 @@ def _min2(f, g) -> PLFunction:
     return PLFunction(out)
 
 
-def pl_combine(op: str, operands) -> PLFunction:
-    """min | max | sum | difference | scale, all exact.
-
-    Breakpoints of the result come from the operands plus exactly the
-    crossing abscissae that min / max introduce.
-    """
-    operands = list(operands)
-    if op == "sum":
-        return sum_of(operands)
-    if op == "difference":
-        f, g = operands
-        return sum_of([f, _scale(g, ExactScalar.rational(-1))])
-    if op == "scale":
-        f, c = operands
-        return _scale(f, c)
-    if op == "min":
-        out = operands[0]
-        for g in operands[1:]:
-            out = _min2(out, g)
-        return out
-    if op == "max":
-        neg = [_scale(f, ExactScalar.rational(-1)) for f in operands]
-        out = neg[0]
-        for g in neg[1:]:
-            out = _min2(out, g)
-        return _scale(out, ExactScalar.rational(-1))
-    raise ValueError("unknown PL operation %r" % op)
+def maximum(f, g) -> PLFunction:
+    """Pointwise max, as -min(-f, -g)."""
+    return scale(minimum(scale(f, -1), scale(g, -1)), -1)
 
 
 def translate_fn(system, f, n: int):
@@ -447,6 +431,25 @@ def extrema_on(f, region):
         if mx < v:
             mx = v
     return mn, mx
+
+
+def sum_extrema_on(fns, region):
+    """(inf, sup) of the sum of fns over the closure of a region.
+
+    Cylinder functions are summed only at the region's own indices; PL
+    functions are summed by sum_of and searched by extrema_on.
+    """
+    if not isinstance(region, CylinderRegion):
+        return extrema_on(sum_of(fns), region)
+    if region.is_empty:
+        raise EmptyInput("extrema over an empty region")
+    totals = []
+    for i in region.indices:
+        total = ZERO
+        for f in fns:
+            total = total + f.values[i]
+        totals.append(total)
+    return min(totals), max(totals)
 
 
 def integral(system, f) -> ExactScalar:
@@ -562,7 +565,7 @@ def min_cascade(system, gs):
             fs.append(gs[j])
             continue
         s = fs[nbrs[0]] if len(nbrs) == 1 else sum_of([fs[i] for i in nbrs])
-        fs.append(_min2(gs[j], pl_combine("difference", (one, s))))
+        fs.append(minimum(gs[j], difference(one, s)))
     return fs
 
 
@@ -584,8 +587,7 @@ def partition_of_unity(pairs, C):
     gs = [bump(F, W) for F, W in pairs]
     fs = min_cascade(system, gs)
     if not C.is_empty:
-        total = sum_of(fs) if fs else PLFunction.constant(ZERO)
-        mn, mx = extrema_on(total, C)
+        mn, mx = sum_extrema_on(fs, C)
         if mn != ONE or mx != ONE:
             raise CoverFailure("cascade sum is not constant 1 on the target")
     return fs

@@ -16,7 +16,7 @@ separation constructions need.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyInput, MixedAmbient, NotNull
 from .scalars import ExactScalar, ZERO, ONE
@@ -409,11 +409,29 @@ class Region:
         return tuple(p[0] for p in self.pieces)
 
 
-def union_many(system, regions) -> Region:
+def _pieces(system, regions):
     soup = []
     for r in regions:
         _ambient(system, r)
         soup.extend(r.pieces)
+    return soup
+
+
+def _index_union(system, regions):
+    """The union of the index sets of cylinder regions, and the sum of their
+    sizes."""
+    union, total = set(), 0
+    for r in regions:
+        _ambient(system, r)
+        union |= r.indices
+        total += len(r.indices)
+    return union, total
+
+
+def union_many(system, regions):
+    if isinstance(system, Odometer):
+        return CylinderRegion(system, _index_union(system, regions)[0])
+    soup = _pieces(system, regions)
     if not soup:
         return Region.empty(system)
     pts = _critical_points([soup])
@@ -423,10 +441,10 @@ def union_many(system, regions) -> Region:
 
 def pairwise_disjoint(system, regions) -> bool:
     """Exact pairwise disjointness of canonical regions in one sweep."""
-    soup = []
-    for r in regions:
-        _ambient(system, r)
-        soup.extend(r.pieces)
+    if isinstance(system, Odometer):
+        union, total = _index_union(system, regions)
+        return len(union) == total
+    soup = _pieces(system, regions)
     if not soup:
         return True
     pts = _critical_points([soup])
@@ -435,10 +453,9 @@ def pairwise_disjoint(system, regions) -> bool:
 
 
 def covers_space(system, regions) -> bool:
-    soup = []
-    for r in regions:
-        _ambient(system, r)
-        soup.extend(r.pieces)
+    if isinstance(system, Odometer):
+        return len(_index_union(system, regions)[0]) == system.resolution
+    soup = _pieces(system, regions)
     if not soup:
         return False
     pts = _critical_points([soup])

@@ -175,11 +175,6 @@ class Odometer:
         return self.index_to_word(self.word_to_index(word) + n)
 
 
-def apply(system, point, n: int = 1):
-    """n-th iterate of the system map at a point (n may be negative)."""
-    return system.apply(point, n)
-
-
 def min_orbit_gap(system, N: int) -> ExactScalar:
     """Exact separation scale: any closed region of diameter below the returned
     value has N+1 pairwise disjoint iterates under h^0..h^N."""

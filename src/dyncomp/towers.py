@@ -29,7 +29,10 @@ from .regions import (
 RETURN_GUARD = 10**6
 
 
-def _first_return_circle(system, Y):
+def first_return(system, Y):
+    """Partition of the base by first-return time, as (region, time) pairs."""
+    if not isinstance(system, (CircleRotation, Odometer)):
+        raise MixedAmbient("towers are built over circle rotations and odometers")
     base = Y.closure()
     inner = base.interior()
     if inner.is_empty:
@@ -48,37 +51,6 @@ def _first_return_circle(system, Y):
         current = translate_region(system, current.minus(base), 1)
         n += 1
     return [(cells[n], n) for n in sorted(cells)]
-
-
-def _first_return_odometer(system, Y):
-    if Y.is_empty:
-        raise EmptyInput("base needs non-empty interior")
-    K = system.resolution
-    members = Y.indices
-    groups = {}
-    for i in sorted(members):
-        r = 1
-        j = (i + 1) % K
-        while j not in members:
-            r += 1
-            j = (j + 1) % K
-        groups.setdefault(r, []).append(i)
-    return [(CylinderRegion(system, groups[r]), r) for r in sorted(groups)]
-
-
-def first_return(system, Y):
-    """Partition of the base by first-return time, as (region, time) pairs."""
-    if isinstance(system, Odometer):
-        return _first_return_odometer(system, Y)
-    if isinstance(system, CircleRotation):
-        return _first_return_circle(system, Y)
-    raise MixedAmbient("towers are built over circle rotations and odometers")
-
-
-def _leftmost(region):
-    if isinstance(region, CylinderRegion):
-        return min(region.indices)
-    return region.pieces[0][0]
 
 
 @dataclass(frozen=True)
@@ -116,30 +88,15 @@ class RokhlinTower:
         The closed levels then tile the space, with no separate pass: the
         open levels are pairwise disjoint and Kac gives them total measure
         1, so the complement of the closed levels is an open null set,
-        hence empty.  On an odometer the levels hold K distinct indices of
-        range(K), hence all of it.
+        hence empty.  On an odometer open and closed levels coincide, and
+        disjoint levels of total measure 1 hold every cylinder.
         """
         sys = self.system
-        if isinstance(sys, Odometer):
-            K = sys.resolution
-            seen = set()
-            base_idx = set()
-            weighted = 0
-            for cell, n in self.columns:
-                base_idx |= cell.indices
-                weighted += n * len(cell.indices)
-                for j in range(n):
-                    seen.update((i + j) % K for i in cell.indices)
-            if len(seen) != weighted:
-                raise RuntimeError("tower invariant failed: levels overlap")
-            if base_idx != self.base.indices:
-                raise RuntimeError("tower invariant failed: cells do not union to the base")
-        else:
-            opens = [lvl for _, _, lvl in self.open_levels() if not lvl.is_empty]
-            if not pairwise_disjoint(sys, opens):
-                raise RuntimeError("tower invariant failed: open levels overlap")
-            if union_many(sys, [cell for cell, _ in self.columns]) != self.base:
-                raise RuntimeError("tower invariant failed: cells do not union to the base")
+        opens = [lvl for _, _, lvl in self.open_levels() if not lvl.is_empty]
+        if not pairwise_disjoint(sys, opens):
+            raise RuntimeError("tower invariant failed: open levels overlap")
+        if union_many(sys, [cell for cell, _ in self.columns]) != self.base:
+            raise RuntimeError("tower invariant failed: cells do not union to the base")
         _check_kac(self)
 
 
@@ -153,16 +110,13 @@ def _check_kac(tower):
 
 
 def build_tower(system, Y) -> RokhlinTower:
-    """Tower over Y whose columns are closures of the return-time cells."""
-    cells = first_return(system, Y)
-    if isinstance(system, Odometer):
-        base = Y
-        cols = [(cell, n) for cell, n in cells]
-    else:
-        base = Y.closure()
-        cols = [(cell.closure(), n) for cell, n in cells]
-    cols.sort(key=lambda cn: (cn[1], _leftmost(cn[0])))
-    tower = RokhlinTower(system, base, tuple(cols))
+    """Tower over Y whose columns are closures of the return-time cells.
+
+    first_return yields one cell per return time, in increasing order, so
+    the columns come sorted.
+    """
+    cols = tuple((cell.closure(), n) for cell, n in first_return(system, Y))
+    tower = RokhlinTower(system, Y.closure(), cols)
     tower.verify()
     return tower
 
@@ -174,39 +128,33 @@ def disjoint_base(system, N: int, anchor=ZERO):
     if N < 1:
         raise ValueError("need N >= 1")
     if isinstance(system, CircleRotation):
-        gap = min_orbit_gap(system, N)
-        half = gap / 6
+        half = min_orbit_gap(system, N) / 6
         a = ExactScalar.coerce(anchor).frac()
         Y = Region(system, [(a - half, a + half, True, True)])
-        copies = [Y]
-        for _ in range(N):
-            copies.append(translate_region(system, copies[-1], 1))
-        if not pairwise_disjoint(system, copies):
-            raise RuntimeError("disjoint base postcondition failed")
-        return Y
-    if isinstance(system, Odometer):
+    elif isinstance(system, Odometer):
         gap = min_orbit_gap(system, N)  # 1/K_m for the coarsest fine-enough level
         Km = int((ONE / gap).as_fraction())
-        K = system.resolution
         if isinstance(anchor, tuple):
             c = system.word_to_index(anchor)
         elif isinstance(anchor, ExactScalar):
             c = int(anchor.as_fraction())
         else:
             c = int(anchor)
-        Y = CylinderRegion(system, [i for i in range(K) if i % Km == c % Km])
-        for i in range(N + 1):
-            for j in range(i + 1, N + 1):
-                if not Y.translate(i).intersect(Y.translate(j)).is_empty:
-                    raise RuntimeError("disjoint base postcondition failed")
-        return Y
-    raise MixedAmbient("towers are built over circle rotations and odometers")
+        Y = CylinderRegion(system, range(c % Km, system.resolution, Km))
+    else:
+        raise MixedAmbient("towers are built over circle rotations and odometers")
+    copies = [Y]
+    for _ in range(N):
+        copies.append(translate_region(system, copies[-1], 1))
+    if not pairwise_disjoint(system, copies):
+        raise RuntimeError("disjoint base postcondition failed")
+    return Y
 
 
 # -- refinement
 
 
-def _validate_partition_circle(system, parts):
+def _validate_partition(system, parts):
     for p in parts:
         if p.interior().is_empty:
             raise InvalidPartition("partition element with empty interior")
@@ -233,7 +181,6 @@ def _strictly_inside(arcs, x):
 
 def _refine_circle(tower, parts):
     system = tower.system
-    _validate_partition_circle(system, parts)
     bpts = _boundary_points(parts)
     theta = system.theta
     max_n = max(n for _, n in tower.columns)
@@ -262,7 +209,7 @@ def _refine_circle(tower, parts):
             stops = [a] + inner + [b]
             for lo, hi in zip(stops, stops[1:]):
                 cols.append((Region(system, [(lo, hi, True, True)]), n))
-    cols.sort(key=lambda cn: (cn[1], _leftmost(cn[0])))
+    cols.sort(key=lambda cn: (cn[1], cn[0].pieces[0][0]))
     refined = RokhlinTower(system, tower.base, tuple(cols))
     _check_kac(refined)
     _check_levels_classified(refined, bpts)
@@ -287,14 +234,8 @@ def _refine_odometer(tower, parts):
     K = system.resolution
     owner = [None] * K
     for pi, p in enumerate(parts):
-        if p.is_empty:
-            raise InvalidPartition("partition element with empty interior")
         for i in p.indices:
-            if owner[i] is not None:
-                raise InvalidPartition("partition interiors overlap")
             owner[i] = pi
-    if any(o is None for o in owner):
-        raise InvalidPartition("partition does not cover the space")
     cols = []
     for cell, n in tower.columns:
         groups = {}
@@ -303,7 +244,7 @@ def _refine_odometer(tower, parts):
             groups.setdefault(pat, []).append(i)
         for pat in sorted(groups):
             cols.append((CylinderRegion(system, groups[pat]), n))
-    cols.sort(key=lambda cn: (cn[1], _leftmost(cn[0])))
+    cols.sort(key=lambda cn: (cn[1], min(cn[0].indices)))
     refined = RokhlinTower(system, tower.base, tuple(cols))
     _check_kac(refined)
     return refined
@@ -321,6 +262,7 @@ def refine_tower(tower, partition) -> RokhlinTower:
     parts = list(partition)
     if not parts:
         raise InvalidPartition("empty partition")
+    _validate_partition(tower.system, parts)
     if isinstance(tower.system, Odometer):
         return _refine_odometer(tower, parts)
     return _refine_circle(tower, parts)

@@ -22,7 +22,7 @@ from dyncomp.plfun import (
     extrema_on,
     global_extrema,
     integral,
-    pl_combine,
+    scale,
     support_report,
 )
 from dyncomp.regions import (
@@ -189,7 +189,7 @@ def test_criterion_05_dynamic_comparison_and_mutations():
         if kind == 0:  # scale an entry that is positive somewhere on C
             j = touching[(i // 4) % len(touching)]
             f, d = mutated[j]
-            mutated[j] = (pl_combine("scale", (f, three_halves)), d)
+            mutated[j] = (scale(f, three_halves), d)
         elif kind == 1:  # drop such an entry
             j = touching[(i // 4) % len(touching)]
             del mutated[j]

@@ -9,14 +9,15 @@ from dyncomp.errors import (
     ColumnDeficit,
     EmptyInput,
     GapNonpositive,
+    MixedAmbient,
     NotSeparated,
     UnrefinedTower,
 )
 from dyncomp.scalars import ExactScalar, golden_theta, HALF, ONE, ZERO
-from dyncomp.systems import CircleRotation, Odometer
-from dyncomp.regions import CylinderRegion, Region
+from dyncomp.systems import CircleRotation, Odometer, TorusRotation
+from dyncomp.regions import BoxRegion, CylinderRegion, Region
 from dyncomp.towers import build_tower, disjoint_base, refine_tower
-from dyncomp.plfun import integral, pl_combine
+from dyncomp.plfun import difference, integral, scale
 from dyncomp import comparison as cp
 
 R = ExactScalar.rational
@@ -98,7 +99,7 @@ def test_birkhoff_certificate_structure():
     F = closed_arc(GOLDEN, ZERO, R(1, 10))
     E = open_arc(GOLDEN, R(3, 10), R(6, 10))
     cert = cp.birkhoff_certificate(GOLDEN, F, E)
-    assert cert.g == pl_combine("difference", (cert.g1, cert.g0))
+    assert cert.g == difference(cert.g1, cert.g0)
     # g0 is exactly 1 on F and vanishes on closure(E)
     from dyncomp.plfun import extrema_on, support_report
 
@@ -264,7 +265,7 @@ def test_dynamic_comparison_mutations_rejected():
     w = cp.dynamic_comparison(GOLDEN, C, U)
     # scaling any entry dents the exact sum on C
     entries = list(w.entries)
-    entries[3] = (pl_combine("scale", (entries[3][0], HALF)), entries[3][1])
+    entries[3] = (scale(entries[3][0], HALF), entries[3][1])
     bad = dataclasses.replace(w, entries=tuple(entries))
     assert not cp.verify_witness(GOLDEN, C, U, bad).ok
     # dropping an entry leaves a hole
@@ -307,7 +308,7 @@ def test_verify_witness_reports_clauses():
     rep = cp.verify_witness(GOLDEN, C, U, w)
     assert rep.ok and rep.failures == ()
     # stretch one function above 1: only the range clause goes false
-    entries = ((pl_combine("scale", (f1, R(3, 2))), 0), (f2, 0))
+    entries = ((scale(f1, R(3, 2)), 0), (f2, 0))
     bad = dataclasses.replace(w, entries=entries)
     rep = cp.verify_witness(GOLDEN, C, U, bad)
     verdicts = dict(rep.clauses)
@@ -382,4 +383,11 @@ def test_dynamic_comparison_odometer_delegates():
     odo = Odometer((2, 2, 2), 3)
     A = CylinderRegion(odo, [0, 1])
     B = CylinderRegion(odo, [3, 5, 6])
-    assert cp.dynamic_comparison(odo, A, B) == cp.clopen_comparison(odo, A, B)
+    w = cp.dynamic_comparison(odo, A, B)
+    assert w == cp.clopen_comparison(odo, A, B)
+    torus = TorusRotation([ExactScalar(-1, 1, 2, 5), ExactScalar(0, 1, 2, 2)])
+    box = BoxRegion.empty(torus)
+    with pytest.raises(MixedAmbient):
+        cp.dynamic_comparison(torus, box, box)
+    with pytest.raises(MixedAmbient):
+        cp.verify_witness(torus, box, box, w)

@@ -10,12 +10,15 @@ from dyncomp.plfun import (
     PLFunction,
     birkhoff_sum,
     bump,
+    difference,
     extrema_on,
     global_extrema,
     integral,
     min_cascade,
+    maximum,
+    minimum,
     partition_of_unity,
-    pl_combine,
+    scale,
     support_of,
     support_report,
     sum_of,
@@ -23,7 +26,7 @@ from dyncomp.plfun import (
 )
 from dyncomp.regions import CylinderRegion, Region, translate_region
 from dyncomp.scalars import ExactScalar, golden_theta
-from dyncomp.systems import Odometer, CircleRotation, apply
+from dyncomp.systems import Odometer, CircleRotation
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -90,17 +93,14 @@ def test_bump_needs_gap():
 def test_pl_combine_trivia():
     rng = random.Random(7)
     f = rand_bump(rng, GOLDEN)
-    assert pl_combine("min", (f, f)) == f
-    assert pl_combine("sum", (f, PLFunction.constant(R(0)))) == f
+    assert minimum(f, f) == f
+    assert sum_of([f, PLFunction.constant(R(0))]) == f
     g1 = rand_bump(rng, GOLDEN)
     g0 = rand_bump(rng, GOLDEN)
-    d = pl_combine("difference", (g1, g0))
+    d = difference(g1, g0)
     mn, mx, _ = global_extrema(d)
     assert R(-1) <= mn and mx <= R(1)
-    assert pl_combine("max", (g1, g0)) == pl_combine(
-        "scale",
-        (pl_combine("min", (pl_combine("scale", (g1, R(-1))), pl_combine("scale", (g0, R(-1))))), R(-1)),
-    )
+    assert maximum(g1, g0) == scale(minimum(scale(g1, R(-1)), scale(g0, R(-1))), R(-1))
 
 
 def test_min_crossings_and_seam_prune():
@@ -108,7 +108,7 @@ def test_min_crossings_and_seam_prune():
         Region.points(GOLDEN, [R(0)]),
         Region(GOLDEN, [(R(7, 8), R(9, 8), False, False)]),
     )
-    m = pl_combine("min", (tent, PLFunction.constant(R(1, 2))))
+    m = minimum(tent, PLFunction.constant(R(1, 2)))
     assert m.breakpoints == (
         (R(1, 32), R(1, 2)),
         (R(1, 16), R(0)),
@@ -171,7 +171,7 @@ def test_birkhoff_pointwise():
             x = R(rng.randrange(997), 997)
             total = R(0)
             for j in range(N):
-                total = total + g.evaluate(apply(GOLDEN, x, j))
+                total = total + g.evaluate(GOLDEN.apply(x, j))
             assert SN.evaluate(x) == total
 
 
@@ -223,7 +223,7 @@ def test_integral():
     rng = random.Random(19)
     for _ in range(10):
         f, g = rand_pl(rng), rand_pl(rng)
-        assert integral(GOLDEN, pl_combine("sum", (f, g))) == integral(
+        assert integral(GOLDEN, sum_of([f, g])) == integral(
             GOLDEN, f
         ) + integral(GOLDEN, g)
         assert integral(GOLDEN, translate_fn(GOLDEN, f, 5)) == integral(GOLDEN, f)
@@ -254,7 +254,7 @@ def test_partition_cascade():
         assert W.contains_region(support_report(GOLDEN, f).support)
         # prefix identity: sum of the cascade equals min(1, sum of the bumps)
         lhs = sum_of(fs[: j + 1])
-        rhs = pl_combine("min", (one, sum_of(gs[: j + 1])))
+        rhs = minimum(one, sum_of(gs[: j + 1]))
         assert lhs == rhs
     total = sum_of(fs)
     assert extrema_on(total, C) == (R(1), R(1))
@@ -281,9 +281,9 @@ def test_min_cascade_matches_naive():
         fast = min_cascade(GOLDEN, gs)
         running = PLFunction.constant(R(0))
         for j, g in enumerate(gs):
-            fj = pl_combine("min", (g, pl_combine("difference", (one, running))))
+            fj = minimum(g, difference(one, running))
             assert fj == fast[j]
-            running = pl_combine("sum", (running, fj))
+            running = sum_of([running, fj])
 
 
 def test_average_min_approaches_integral():
@@ -356,8 +356,8 @@ def test_sum_of_matches_pointwise_sum(fns):
 @settings(max_examples=150, deadline=None)
 @given(pl_functions(), pl_functions())
 def test_min_max_match_pointwise(f, g):
-    for op, pick in (("min", min), ("max", max)):
-        out = pl_combine(op, (f, g))
+    for op, pick in ((minimum, min), (maximum, max)):
+        out = op(f, g)
         assert_canonical(out)
         for x in probe_points(out, f, g):
             assert out.evaluate(x) == pick(f.evaluate(x), g.evaluate(x))
@@ -382,5 +382,5 @@ def test_birkhoff_sum_matches_orbit_sum(g, N):
     S = birkhoff_sum(GOLDEN, g, N)
     assert_canonical(S)
     for x in probe_points(S, g):
-        orbit = [g.evaluate(apply(GOLDEN, x, j)) for j in range(N)]
+        orbit = [g.evaluate(GOLDEN.apply(x, j)) for j in range(N)]
         assert S.evaluate(x) == sum(orbit, R(0))

@@ -1,7 +1,7 @@
 import pytest
 
 from dyncomp.scalars import ExactScalar, golden_theta
-from dyncomp.systems import CircleRotation, Odometer, TorusRotation, apply, min_orbit_gap
+from dyncomp.systems import CircleRotation, Odometer, TorusRotation, min_orbit_gap
 
 
 def golden():
@@ -12,9 +12,9 @@ def test_rotation_apply():
     h = golden()
     th = h.theta
     x = ExactScalar(0)
-    assert apply(h, x, 1) == th
-    assert apply(h, x, 2) == (2 * th).frac()
-    assert apply(h, apply(h, x, 3), -3) == x
+    assert h.apply(x, 1) == th
+    assert h.apply(x, 2) == (2 * th).frac()
+    assert h.apply(h.apply(x, 3), -3) == x
 
 
 def test_rotation_requires_irrational():
@@ -33,7 +33,7 @@ def test_min_orbit_gap_golden():
 def test_orbit_shift():
     h = golden()
     x = ExactScalar(1, 0, 3)
-    y = apply(h, x, 7)
+    y = h.apply(x, 7)
     assert h.orbit_shift(x, y) == 7
     assert h.orbit_shift(y, x) == -7
     assert h.orbit_shift(x, x) == 0
@@ -49,7 +49,7 @@ def test_torus_requires_distinct_fields():
     with pytest.raises(ValueError):
         TorusRotation([t2, ExactScalar(0, 1, 3, 2)])
     p = (ExactScalar(0), ExactScalar(0))
-    q = apply(T, p, 5)
+    q = T.apply(p, 5)
     assert T.orbit_shift(p, q) == 5
     assert T.orbit_shift(p, (ExactScalar(1, 0, 2), ExactScalar(0))) is None
 
@@ -58,10 +58,10 @@ def test_odometer_carry():
     od = Odometer([2, 2, 2])
     assert od.resolution == 8
     # 111 + 1 carries across all three digits
-    assert apply(od, (1, 1, 1), 1) == (0, 0, 0)
-    assert apply(od, (0, 0, 0), 3) == (1, 1, 0)
-    assert apply(od, (0, 0, 0), 8) == (0, 0, 0)
-    assert apply(od, (0, 0, 0), -1) == (1, 1, 1)
+    assert od.apply((1, 1, 1), 1) == (0, 0, 0)
+    assert od.apply((0, 0, 0), 3) == (1, 1, 0)
+    assert od.apply((0, 0, 0), 8) == (0, 0, 0)
+    assert od.apply((0, 0, 0), -1) == (1, 1, 1)
 
 
 def test_odometer_gap():

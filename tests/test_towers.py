@@ -1,9 +1,20 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dyncomp.towers as towers_mod
-from dyncomp.errors import EmptyInput, InvalidPartition, MixedAmbient, NonTerminationGuard
+from dyncomp import comparison as cp
+from dyncomp.errors import (
+    EmptyInput,
+    InvalidPartition,
+    MixedAmbient,
+    NonTerminationGuard,
+    UnrefinedTower,
+)
+from dyncomp.plfun import CylinderFunction
 from dyncomp.regions import CylinderRegion, Region
-from dyncomp.scalars import ExactScalar, golden_theta
+from dyncomp.scalars import ONE, ZERO, ExactScalar, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.towers import (
     RokhlinTower,
@@ -213,8 +224,16 @@ def test_odometer_refine():
         (CylinderRegion(odo, [0]), 2),
         (CylinderRegion(odo, [2]), 2),
     )
-    with pytest.raises(InvalidPartition):
-        refine_tower(tower, [CylinderRegion(odo, [0, 1])])
+    faults = (
+        ([CylinderRegion(odo, [0, 1]), CylinderRegion(odo, []), CylinderRegion(odo, [2, 3])],
+         "partition element with empty interior"),
+        ([CylinderRegion(odo, [0, 1, 2]), CylinderRegion(odo, [2, 3])],
+         "partition interiors overlap"),
+        ([CylinderRegion(odo, [0, 1])], "partition does not cover the space"),
+    )
+    for bad, message in faults:
+        with pytest.raises(InvalidPartition, match=message):
+            refine_tower(tower, bad)
 
 
 def test_tower_errors(monkeypatch):
@@ -228,6 +247,115 @@ def test_tower_errors(monkeypatch):
     torus = TorusRotation([ExactScalar(-1, 1, 2, 5), ExactScalar(0, 1, 2, 2)])
     with pytest.raises(MixedAmbient):
         build_tower(torus, None)
+    with pytest.raises(MixedAmbient):
+        disjoint_base(torus, 3)
     monkeypatch.setattr(towers_mod, "RETURN_GUARD", 3)
     with pytest.raises(NonTerminationGuard):
         build_tower(GOLDEN, Region.interval(GOLDEN, R(0), R(1, 100)))
+
+
+# -- odometer towers and witnesses against index-scan reference implementations
+
+
+def scan_first_return(odo, members):
+    """Each base index walks forward one cylinder at a time to its return."""
+    K = odo.resolution
+    groups = {}
+    for i in sorted(members):
+        r, j = 1, (i + 1) % K
+        while j not in members:
+            r, j = r + 1, (j + 1) % K
+        groups.setdefault(r, []).append(i)
+    return [(CylinderRegion(odo, groups[r]), r) for r in sorted(groups)]
+
+
+def pattern_refine(tower, parts):
+    """Group each column's indices by the parts their n iterates visit."""
+    K = tower.system.resolution
+    owner = {i: pi for pi, p in enumerate(parts) for i in p.indices}
+    cols = []
+    for cell, n in tower.columns:
+        groups = {}
+        for i in sorted(cell.indices):
+            groups.setdefault(tuple(owner[(i + j) % K] for j in range(n)), []).append(i)
+        cols.extend((CylinderRegion(tower.system, groups[pat]), n) for pat in sorted(groups))
+    return tuple(sorted(cols, key=lambda cn: (cn[1], min(cn[0].indices))))
+
+
+def scan_counts(tower, S):
+    K = tower.system.resolution
+    out = []
+    for cell, n in tower.columns:
+        hits = []
+        for j in range(n):
+            level = {(i + j) % K for i in cell.indices}
+            if level <= S.indices:
+                hits.append(j)
+            elif level & S.indices:
+                raise UnrefinedTower("level straddles the test region")
+        out.append(tuple(hits))
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnrefinedTower:
+        return UnrefinedTower
+
+
+def scan_verdicts(odo, A, B, entries):
+    """The four clause verdicts by index sets and pointwise sums."""
+    K = odo.resolution
+    ranges_ok = all(
+        f.range_bounds()[0].sign() >= 0 and (f.range_bounds()[1] - ONE).sign() <= 0
+        for f, _ in entries
+    )
+    part_ok = all(sum((f.evaluate(i) for f, _ in entries), ZERO) == ONE for i in A.indices)
+    supports = [{(i + d) % K for i, v in enumerate(f.values) if v != ZERO} for f, d in entries]
+    disj_ok = sum(map(len, supports)) == len(set().union(*supports))
+    inside_ok = all(sup <= B.indices for sup in supports)
+    return {
+        "ranges within [0, 1]": ranges_ok,
+        "sums to 1 on the closed set": part_ok,
+        "translated supports pairwise disjoint": disj_ok,
+        "translated supports inside the open set": inside_ok,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=4), st.data())
+def test_odometer_matches_index_scan_oracles(bases, data):
+    odo = Odometer(bases)
+    K = odo.resolution
+    cylinders = st.sets(st.integers(0, K - 1), min_size=1)
+    members = data.draw(cylinders)
+    Y = CylinderRegion(odo, members)
+    tower = build_tower(odo, Y)
+    assert first_return(odo, Y) == scan_first_return(odo, members)
+    assert tower.columns == tuple(scan_first_return(odo, members))
+
+    owners = data.draw(st.lists(st.integers(0, 2), min_size=K, max_size=K))
+    parts = [CylinderRegion(odo, [i for i in range(K) if owners[i] == p]) for p in range(3)]
+    parts = [p for p in parts if not p.is_empty]
+    refined = refine_tower(tower, parts)
+    refined.verify()
+    assert refined.columns == pattern_refine(tower, parts)
+    for p in parts:
+        assert cp.column_counts(refined, p) == scan_counts(refined, p)
+        assert outcome(cp.column_counts, tower, p) == outcome(scan_counts, tower, p)
+
+    B = CylinderRegion(odo, data.draw(cylinders))
+    A = CylinderRegion(odo, data.draw(st.sets(st.integers(0, K - 1), max_size=len(B.indices) - 1)))
+    w = cp.clopen_comparison(odo, A, B)
+    j = data.draw(st.integers(0, len(w.entries) - 1))
+    f, d = w.entries[j]
+    three_halves = CylinderFunction([v * ExactScalar.rational(3, 2) for v in f.values])
+    for entries in (
+        w.entries,
+        w.entries[:j] + ((f, d + 1),) + w.entries[j + 1:],
+        w.entries[:j] + ((three_halves, d),) + w.entries[j + 1:],
+        w.entries[:j] + w.entries[j + 1:],
+    ):
+        report = cp.verify_witness(odo, A, B, dataclasses.replace(w, entries=entries))
+        assert dict(report.clauses) == scan_verdicts(odo, A, B, entries)
