@@ -45,7 +45,7 @@ from .smallness import (
     verify_smallness,
     verify_thin_cover,
 )
-from .specfile import load_specfile, parse_scalar, region_hash
+from .specfile import MAX_RESOLUTION, load_specfile, parse_scalar, region_hash
 from .systems import CircleRotation, Odometer
 from .towers import build_tower, disjoint_base, refine_tower
 
@@ -129,13 +129,12 @@ def cmd_refine(args):
     spec = load_specfile_checked(args)
     tower = build_tower(spec.system, _base_region(spec, args))
     parts = [spec.region(name).closure() for name in args.parts]
-    if isinstance(spec.system, CircleRotation):
-        rest = parts[0]
-        for p in parts[1:]:
-            rest = rest.union(p)
-        rest = rest.complement().closure()
-        if not rest.interior().is_empty:
-            parts.append(rest)
+    rest = parts[0]
+    for p in parts[1:]:
+        rest = rest.union(p)
+    rest = rest.complement().closure()
+    if not rest.interior().is_empty:
+        parts.append(rest)
     refined = refine_tower(tower, parts)
     _print_tower(refined)
     for name in args.parts:
@@ -411,8 +410,8 @@ def _brute_clopen_feasible(K, a_indices, b_indices):
 def oracle_clopen(args):
     rng = random.Random(args.seed)
     K = args.K
-    if not 2 <= K <= 4096:
-        raise MalformedFile("need 2 <= K <= 4096")
+    if not 2 <= K <= MAX_RESOLUTION:
+        raise MalformedFile("need 2 <= K <= %d" % MAX_RESOLUTION)
     system = Odometer(_factor_bases(K))
     agree = 0
     for _ in range(args.trials):

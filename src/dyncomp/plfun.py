@@ -68,7 +68,7 @@ class PLFunction:
     have identical breakpoint tuples; constants normalize to ((0, c),).
     """
 
-    __slots__ = ("breakpoints", "_xs")
+    __slots__ = ("breakpoints", "_xs", "_sl")
 
     def __init__(self, breakpoints):
         pts = [(ExactScalar.coerce(x), ExactScalar.coerce(v)) for x, v in breakpoints]
@@ -83,17 +83,20 @@ class PLFunction:
         pts = _prune(pts)
         object.__setattr__(self, "breakpoints", tuple(pts))
         object.__setattr__(self, "_xs", tuple(p[0] for p in pts))
+        object.__setattr__(self, "_sl", None)
 
     @classmethod
-    def _canonical(cls, pts) -> "PLFunction":
+    def _canonical(cls, pts, slopes=None) -> "PLFunction":
         """A PLFunction from breakpoints that are canonical by construction:
         exact, abscissae strictly increasing in [0, 1), the slope changing
         at every one of them (or the single point (0, c)).  Skips the
         sort, the duplicate check and the pruning of the public
-        constructor; anything parsed or hand-built goes through that."""
+        constructor; anything parsed or hand-built goes through that.
+        slopes, when given, are the segment slopes _slopes would compute."""
         f = object.__new__(cls)
         object.__setattr__(f, "breakpoints", tuple(pts))
         object.__setattr__(f, "_xs", tuple(p[0] for p in pts))
+        object.__setattr__(f, "_sl", slopes)
         return f
 
     def __setattr__(self, name, value):
@@ -234,11 +237,18 @@ def difference(f, g) -> PLFunction:
 
 
 def _slopes(f):
-    """Slope of every segment of f, the last one wrapping 1 -> 0."""
+    """Slope of every segment of f, the last one wrapping 1 -> 0.
+
+    Results of sum_of and translate_fn carry their slopes; otherwise they
+    are computed from the breakpoints once and kept on f.
+    """
+    if f._sl is not None:
+        return f._sl
     bps = f.breakpoints
     out = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, bps[1:])]
     (xa, va), (xb, vb) = bps[-1], bps[0]
     out.append((vb - va) / (xb + ONE - xa))
+    object.__setattr__(f, "_sl", out)
     return out
 
 
@@ -283,6 +293,7 @@ def sum_of(fns) -> PLFunction:
         value = value + f.evaluate(x0)
         slope = slope + s[-1]
     out = []
+    kept = []
     at = x0
     for x, owners in _merged(fns):
         new = slope
@@ -293,8 +304,11 @@ def sum_of(fns) -> PLFunction:
             value = value + slope * (x - at)
             at = x
             out.append((x, value))
+            kept.append(new)
             slope = new
-    return PLFunction._canonical(out or [(ZERO, value)])
+    if not out:
+        return PLFunction._canonical([(ZERO, value)], [ZERO])
+    return PLFunction._canonical(out, kept)
 
 
 def _walk(f, fi, merged):
@@ -357,8 +371,10 @@ def translate_fn(system, f, n: int):
     shift = (system.theta * ExactScalar.rational(n)).frac()
     k = bisect.bisect_left(f._xs, ONE - shift)
     back = shift - ONE
+    sl = f._sl
     return PLFunction._canonical(
-        [(x + back, v) for x, v in bps[k:]] + [(x + shift, v) for x, v in bps[:k]]
+        [(x + back, v) for x, v in bps[k:]] + [(x + shift, v) for x, v in bps[:k]],
+        None if sl is None else sl[k:] + sl[:k],
     )
 
 

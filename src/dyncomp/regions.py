@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import EmptyInput, MixedAmbient, NotNull
 from .scalars import ExactScalar, ZERO, ONE
@@ -80,32 +81,60 @@ def _split_lifted(lo, hi, lc, hc):
     return [(lo, ONE, lc, False), (ZERO, hi - 1, True, hc)], False
 
 
-def _coverage(pts, split_pieces):
-    """Per-cell cover counts of a piece soup against sorted critical points.
+def _critical_points(split_lists):
+    """Sorted distinct critical points of piece lists, with each piece's
+    cell indices, from one sort of the tagged endpoints.
 
-    Returns (icov, pcov): icov[i] counts pieces covering the open interval
-    (pts[i], next point), pcov[i] counts pieces containing the point pts[i].
+    The critical points are 0 and every piece end below 1.  Returns (pts,
+    cells): cells[k][t] is [i, j] for piece t of list k, running from
+    pts[i] to pts[j]; j = i for a point piece and j = -1 for a piece that
+    ends at 1.
     """
-    m = len(pts)
+    tagged = []
+    cells = []
+    for pieces in split_lists:
+        row = []
+        for lo, hi, _, _ in pieces:
+            cell = [0, -1]
+            tagged.append((lo, cell, 0))
+            if hi != ONE:
+                tagged.append((hi, cell, 1))
+            row.append(cell)
+        cells.append(row)
+    tagged.sort(key=itemgetter(0))
+    last = ZERO
+    pts = [last]
+    for x, cell, end in tagged:
+        if x != last:
+            pts.append(x)
+            last = x
+        cell[end] = len(pts) - 1
+    return pts, cells
+
+
+def _coverage(m, split_pieces, cells):
+    """Per-cell cover counts of a piece soup against m critical points.
+
+    cells holds each piece's indices from _critical_points.  Returns (icov,
+    pcov): icov[i] counts pieces covering the open interval (pts[i], next
+    point), pcov[i] counts pieces containing the point pts[i].
+    """
     delta = [0] * (m + 1)
     pcov = [0] * m
     ends_at = [0] * m
-    for lo, hi, lc, hc in split_pieces:
-        i = bisect_left(pts, lo)
-        if lo == hi:
+    for (_, _, lc, hc), (i, j) in zip(split_pieces, cells):
+        if i == j:
             pcov[i] += 1
             continue
-        if (hi - 1).sign() < 0:
-            j = bisect_left(pts, hi)
-            delta[i] += 1
+        delta[i] += 1
+        if j < 0:
+            delta[m] -= 1
+            ends_at[0] += 1
+        else:
             delta[j] -= 1
             if hc:
                 pcov[j] += 1
             ends_at[j] += 1
-        else:
-            delta[i] += 1
-            delta[m] -= 1
-            ends_at[0] += 1
         if lc:
             pcov[i] += 1
     icov = [0] * m
@@ -118,19 +147,10 @@ def _coverage(pts, split_pieces):
     return icov, pcov
 
 
-def _critical_points(split_lists):
-    raw = [ZERO]
-    for pieces in split_lists:
-        for lo, hi, _, _ in pieces:
-            raw.append(lo)
-            if lo != hi and (hi - 1).sign() < 0:
-                raw.append(hi)
-    raw.sort()
-    pts = [raw[0]]
-    for p in raw[1:]:
-        if p != pts[-1]:
-            pts.append(p)
-    return pts
+def _sweep(soup):
+    """Critical points and cover counts of one piece soup."""
+    pts, (cells,) = _critical_points([soup])
+    return pts, _coverage(len(pts), soup, cells)
 
 
 def _assemble(system, pts, ival_flags, point_flags):
@@ -212,8 +232,7 @@ class Region:
         elif not soup:
             canon = ()
         else:
-            pts = _critical_points([soup])
-            icov, pcov = _coverage(pts, soup)
+            pts, (icov, pcov) = _sweep(soup)
             reg = _assemble(system, pts, [c > 0 for c in icov], [c > 0 for c in pcov])
             canon = reg.pieces
         object.__setattr__(self, "system", system)
@@ -282,7 +301,7 @@ class Region:
         ps = self.pieces
         if not ps:
             return False
-        i = bisect_left([p[0] for p in ps], x)
+        i = bisect_left(ps, x, key=itemgetter(0))
         for k in (i - 1, i):
             if 0 <= k < len(ps):
                 lo, hi, lc, hc = ps[k]
@@ -296,9 +315,9 @@ class Region:
     # -- boolean algebra via the cell sweep
 
     def _cells_with(self, others):
-        split_lists = [list(self.pieces)] + [list(o.pieces) for o in others]
-        pts = _critical_points(split_lists)
-        covs = [_coverage(pts, sp) for sp in split_lists]
+        split_lists = [self.pieces] + [o.pieces for o in others]
+        pts, cells = _critical_points(split_lists)
+        covs = [_coverage(len(pts), sp, c) for sp, c in zip(split_lists, cells)]
         return pts, covs
 
     def _combine(self, others, func):
@@ -380,8 +399,29 @@ class Region:
     # -- geometry
 
     def translate(self, n: int) -> "Region":
+        """The image under the n-th iterate, by rotating the canonical pieces.
+
+        The logical arcs (the pieces with the old seam joined) keep their
+        cyclic order: those that pass 1 move to the front, and only the
+        last one can reach the new seam, where it is cut.  No sweep.
+        """
+        if n == 0 or self.is_empty or self.is_full:
+            return self
         shift = (n * self.system.theta).frac()
-        return Region(self.system, [(lo + shift, hi + shift, lc, hc) for lo, hi, lc, hc in self.pieces])
+        arcs = self.logical_arcs()
+        k = bisect_left(arcs, ONE - shift, key=itemgetter(0))
+        back = shift - 1
+        out = [(lo + back, hi + back, lc, hc) for lo, hi, lc, hc in arcs[k:]]
+        out += [(lo + shift, hi + shift, lc, hc) for lo, hi, lc, hc in arcs[:k]]
+        lo, hi, lc, hc = out[-1]
+        t = (hi - 1).sign()
+        if t >= 0:
+            out[-1] = (lo, ONE, lc, False)
+            if t > 0:
+                out.insert(0, (ZERO, hi - 1, True, hc))
+            elif hc:
+                out.insert(0, (ZERO, ZERO, True, True))
+        return Region._make(self.system, tuple(out))
 
     def logical_arcs(self):
         """Pieces with the wrap seam re-joined, in lifted coordinates.
@@ -434,8 +474,7 @@ def union_many(system, regions):
     soup = _pieces(system, regions)
     if not soup:
         return Region.empty(system)
-    pts = _critical_points([soup])
-    icov, pcov = _coverage(pts, soup)
+    pts, (icov, pcov) = _sweep(soup)
     return _assemble(system, pts, [c > 0 for c in icov], [c > 0 for c in pcov])
 
 
@@ -447,8 +486,7 @@ def pairwise_disjoint(system, regions) -> bool:
     soup = _pieces(system, regions)
     if not soup:
         return True
-    pts = _critical_points([soup])
-    icov, pcov = _coverage(pts, soup)
+    pts, (icov, pcov) = _sweep(soup)
     return max(icov) <= 1 and max(pcov) <= 1
 
 
@@ -458,8 +496,7 @@ def covers_space(system, regions) -> bool:
     soup = _pieces(system, regions)
     if not soup:
         return False
-    pts = _critical_points([soup])
-    icov, pcov = _coverage(pts, soup)
+    pts, (icov, pcov) = _sweep(soup)
     return min(icov) >= 1 and min(pcov) >= 1
 
 

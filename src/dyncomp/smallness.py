@@ -241,22 +241,31 @@ class _OrbitHits:
         self.free = []
         self._grow_right(hi)
 
+    # theta lies in [0, 1), so one step leaves x + theta in [0, 2) and
+    # x - theta in (-1, 1): a single exact comparison wraps it, with no floor
+
     def _grow_right(self, new_hi):
-        x = (self.rep + (self.hi + 1) * self.theta).frac()
+        theta = self.theta
+        x = (self.rep + (self.hi + 1) * theta).frac()
         for m in range(self.hi + 1, new_hi + 1):
             if self.U.contains_point(x):
                 self.hits.append(m)
                 self.free.append(True)
-            x = (x + self.theta).frac()
+            x = x + theta
+            if x >= 1:
+                x = x - 1
         self.hi = new_hi
 
     def _grow_left(self, new_lo):
         add = []
-        x = (self.rep + (self.lo - 1) * self.theta).frac()
+        theta = self.theta
+        x = (self.rep + (self.lo - 1) * theta).frac()
         for m in range(self.lo - 1, new_lo - 1, -1):
             if self.U.contains_point(x):
                 add.append(m)
-            x = (x - self.theta).frac()
+            x = x - theta
+            if x.sign() < 0:
+                x = x + 1
         add.reverse()
         self.hits = add + self.hits
         self.free = [True] * len(add) + self.free

@@ -42,6 +42,9 @@ PARAM_KEYS = ("epsilon", "sigma-fraction", "search-depth", "bp-cap")
 # Largest field D a file may declare: normalizing D factors it by trial
 # division, which must stay fast on hostile input.
 MAX_FIELD = 10**6
+# Largest odometer resolution K a file may declare: regions, functions and
+# towers on an odometer hold up to K entries each.
+MAX_RESOLUTION = 4096
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,8 @@ def parse_specfile(text) -> SpecFile:
                 if bases is None:
                     fail(lineno, "odometer system block never set bases")
                 try:
-                    system = Odometer(bases, truncation)
-                except ValueError as exc:
+                    system = _odometer(bases, truncation)
+                except MalformedFile as exc:
                     fail(lineno, str(exc))
         elif head == "region":
             if len(tokens) != 2:
@@ -257,8 +260,21 @@ def parse_system_echo(tokens):
         return CircleRotation(ExactScalar(a, b, c, D))
     if tokens and tokens[0] == "odometer" and len(tokens) >= 3:
         truncation = _int(tokens[1], "truncation")
-        return Odometer([_int(t, "base") for t in tokens[2:]], truncation)
+        return _odometer([_int(t, "base") for t in tokens[2:]], truncation)
     raise MalformedFile("bad system echo %r" % " ".join(tokens))
+
+
+def _odometer(bases, truncation):
+    """An Odometer from parsed fields, its resolution at most MAX_RESOLUTION."""
+    try:
+        system = Odometer(bases, truncation)
+    except ValueError as exc:
+        raise MalformedFile(str(exc)) from None
+    if system.resolution > MAX_RESOLUTION:
+        raise MalformedFile(
+            "odometer resolution %d exceeds the bound %d" % (system.resolution, MAX_RESOLUTION)
+        )
+    return system
 
 
 def region_text(region) -> str:

@@ -2,6 +2,7 @@ import hashlib
 import os
 import random
 import re
+import time
 
 import pytest
 
@@ -121,6 +122,7 @@ def test_parse_specfile_scalar_forms():
         "system circle\nfield 5\nend\n",  # no theta
         "system odometer\nend\n",  # no bases
         "system circle\nfield 1000000000000000003\ntheta -1 1 2\nend\n",  # D too large
+        "system odometer\nbases" + " 2" * 40 + "\nend\n",  # resolution 2^40 too large
         "",
     ],
 )
@@ -235,6 +237,7 @@ def test_certfile_roundtrip_random():
         "dyncomp-cert 1\ntool dyncomp 0\nsystem circle 5 -1 1 2\nbp 0 0 1 0 0 1\n",
         "dyncomp-cert 1\ntool dyncomp 0\nsystem circle 5 -1 1 2\nshift 0\nbp 0 0 1\n",
         "dyncomp-cert 1\ntool dyncomp 0\nsystem circle 5 -1 1 2\nverdict maybe x\n",
+        "dyncomp-cert 1\ntool dyncomp 0\nsystem odometer 40" + " 2" * 40 + "\n",
     ],
 )
 def test_certfile_rejects(text):
@@ -263,6 +266,44 @@ def test_cli_refine(tmp_path, capsys):
     assert code == 0
     assert "kac 1/1" in out
     assert re.search(r"part C levels \d+", out)
+
+
+def test_cli_refine_odometer_adds_the_rest(tmp_path, capsys):
+    # P covers a third of the 36 cylinders; the rest of the space becomes
+    # the other part, as on the circle
+    spec = write(
+        tmp_path,
+        "o.spec",
+        "system odometer\nbases 2 3 2 3\nend\nregion P\nindices"
+        + "".join(" %d" % i for i in range(12))
+        + "\nend\n",
+    )
+    code = cli.run(["refine", "--spec", spec, "--levels", "3", "--parts", "P"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "kac 1/1" in out
+    assert out.endswith("part P levels 6\n")
+
+
+def test_cli_rejects_huge_odometer_quickly(tmp_path, capsys):
+    # K = 2^40 cylinders: refused by both parsers before anything sized by K
+    bases = " 2" * 40
+    spec = write(
+        tmp_path,
+        "huge.spec",
+        "system odometer\nbases%s\nend\nregion A\nindices 0\nend\n"
+        "region B\nindices 1 2\nend\n" % bases,
+    )
+    cert = write(tmp_path, "huge.cert", "dyncomp-cert 1\ntool dyncomp 0\nsystem odometer 40%s\n" % bases)
+    small = write(tmp_path, "o.spec", ODO_SPEC)
+    for argv in (
+        ["clopen-compare", "--spec", spec],
+        ["verify", "--spec", small, "--cert", cert],
+    ):
+        start = time.perf_counter()
+        assert cli.run(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds the bound 4096" in capsys.readouterr().err
 
 
 def test_cli_compare_verify_and_tamper(tmp_path, capsys):
@@ -388,6 +429,24 @@ def test_cli_golden_outputs_byte_identical(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith("checked N1 N1+1 2*N1\n")
     assert sha256(out) == "681e6fd5676c4e0a594214773a356d3ddd371324f5386ebaa40195c21618a827"
+
+
+def test_cli_golden_tower_and_refine_byte_identical(tmp_path, capsys):
+    # stdout digests of `tower` and `refine` over a disjoint base for 32
+    # levels, as first emitted, so the rotating translate and the indexed
+    # sweep cannot move a byte
+    spec = write(tmp_path, "golden.spec", GOLDEN_FE_SPEC)
+    runs = (
+        (["tower", "--levels", "32"],
+         "8c174c93d966a6661facec3684df3c599c10a566c7a4bfc3c07e1f579210b329"),
+        (["refine", "--levels", "32", "--parts", "C", "U"],
+         "0badeb7fc3fe8a9293817414c477b926a4542dce2db92df35e169e90e82898a4"),
+        (["refine", "--levels", "32", "--parts", "F", "E"],
+         "ec93906be5a6f0945f72aa2106544f748b5e81d4a5b6e6da299e2671cad58240"),
+    )
+    for argv, digest in runs:
+        assert cli.run(argv[:1] + ["--spec", spec] + argv[1:]) == 0
+        assert sha256(capsys.readouterr().out) == digest
 
 
 def _count_calls(monkeypatch, owners, name):

@@ -23,6 +23,7 @@ from dyncomp.plfun import (
     support_report,
     sum_of,
     translate_fn,
+    _slopes,
 )
 from dyncomp.regions import CylinderRegion, Region, translate_region
 from dyncomp.scalars import ExactScalar, golden_theta
@@ -384,3 +385,25 @@ def test_birkhoff_sum_matches_orbit_sum(g, N):
     for x in probe_points(S, g):
         orbit = [g.evaluate(GOLDEN.apply(x, j)) for j in range(N)]
         assert S.evaluate(x) == sum(orbit, R(0))
+
+
+def slopes_from_breakpoints(f):
+    """Segment slopes recomputed from the breakpoints alone."""
+    bps = f.breakpoints
+    ends = bps[1:] + ((bps[0][0] + 1, bps[0][1]),)
+    return [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, ends)]
+
+
+# the sum's first kink and a rotated copy's wrap both sit on the seam
+@example([PLFunction([((THETA * R(-3)).frac(), R(1)), (R(1, 2), R(0))]), PLFunction.constant(R(2))], 3)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(pl_functions(), min_size=2, max_size=4), st.integers(-50, 50))
+def test_carried_slopes_match_breakpoints(fns, n):
+    total = sum_of(fns)
+    moved = translate_fn(GOLDEN, total, n)
+    S = birkhoff_sum(GOLDEN, fns[0], 5)
+    for f in (total, moved, S, translate_fn(GOLDEN, S, -n), sum_of([total, moved])):
+        assert f._sl is not None  # carried, not recomputed
+        assert _slopes(f) == slopes_from_breakpoints(f)
+    bare = translate_fn(GOLDEN, fns[1], n)
+    assert _slopes(bare) == slopes_from_breakpoints(bare)

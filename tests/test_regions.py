@@ -1,7 +1,9 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyncomp.errors import NotNull
 from dyncomp.regions import (
@@ -18,8 +20,11 @@ from dyncomp.regions import (
     region_gap,
     small_nbhd,
     union_many,
+    _coverage,
+    _critical_points,
+    _split_lifted,
 )
-from dyncomp.scalars import ExactScalar, golden_theta
+from dyncomp.scalars import ExactScalar, ZERO, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 
 R = ExactScalar.rational
@@ -288,3 +293,118 @@ def test_measure_dispatch_checks_ambient():
     r = interval(h, 0, Fraction(1, 2))
     with pytest.raises(Exception):
         measure(od, r)
+
+
+# -- the rotating translate and the indexed sweep against the re-sweep
+
+
+GOLDEN = golden()
+THETA = GOLDEN.theta
+
+
+@st.composite
+def endpoints(draw):
+    """k/16, or frac(m*theta + r/8) in Q(sqrt 5): some translate puts the
+    latter exactly on the seam."""
+    if draw(st.booleans()):
+        return R(Fraction(draw(st.integers(0, 15)), 16))
+    return (THETA * R(draw(st.integers(-50, 50))) + R(Fraction(draw(st.integers(0, 7)), 8))).frac()
+
+
+@st.composite
+def lifted_arcs(draw):
+    """Lifted arcs: points, arcs through 0, whole circles minus a point and
+    whole circles among them."""
+    lo = draw(endpoints())
+    kind = draw(st.sampled_from(["point", "arc", "arc", "arc", "loop"]))
+    if kind == "point":
+        hi = lo
+    elif kind == "loop":
+        hi = lo + 1
+    else:
+        hi = lo + draw(endpoints()) * R(Fraction(draw(st.integers(1, 4)), 4))
+    return (lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+circle_regions = st.lists(lifted_arcs(), max_size=5).map(lambda arcs: Region(GOLDEN, arcs))
+
+
+def resweep_translate(region, n):
+    """The translate rebuilt through the public constructor's sweep."""
+    s = (THETA * R(n)).frac()
+    return Region(GOLDEN, [(lo + s, hi + s, lc, hc) for lo, hi, lc, hc in region.pieces])
+
+
+# frac(-3 theta) lands on the seam under translate(3), from either side
+@example(Region(GOLDEN, [((THETA * R(-3)).frac(), R(Fraction(7, 8)), True, True)]), 3)
+@example(Region(GOLDEN, [(R(Fraction(1, 2)), (THETA * R(-3)).frac() + 1, False, True)]), 3)
+@example(Region(GOLDEN, [((THETA * R(-3)).frac(),) * 2 + (True, True)]), 3)
+@example(Region(GOLDEN, [(R(Fraction(7, 8)), R(Fraction(9, 8)), True, False)]), -4)
+@example(Region(GOLDEN, [(R(0), R(1), False, False)]), 2)
+@settings(max_examples=300, deadline=None)
+@given(circle_regions, st.integers(-50, 50))
+def test_translate_matches_resweep(region, n):
+    moved = region.translate(n)
+    assert moved.pieces == resweep_translate(region, n).pieces
+    assert moved.translate(-n) == region
+
+
+def bisect_critical_points(split_lists):
+    """Sorted distinct critical points, found without cell indices."""
+    raw = {ZERO}
+    for pieces in split_lists:
+        for lo, hi, _, _ in pieces:
+            raw.add(lo)
+            if lo != hi and hi < 1:
+                raw.add(hi)
+    return sorted(raw)
+
+
+def bisect_coverage(pts, split_pieces):
+    """Per-cell cover counts, locating each piece's ends by bisection."""
+    m = len(pts)
+    delta = [0] * (m + 1)
+    pcov = [0] * m
+    ends_at = [0] * m
+    for lo, hi, lc, hc in split_pieces:
+        i = bisect_left(pts, lo)
+        if lo == hi:
+            pcov[i] += 1
+            continue
+        if hi < 1:
+            j = bisect_left(pts, hi)
+            delta[i] += 1
+            delta[j] -= 1
+            if hc:
+                pcov[j] += 1
+            ends_at[j] += 1
+        else:
+            delta[i] += 1
+            delta[m] -= 1
+            ends_at[0] += 1
+        if lc:
+            pcov[i] += 1
+    icov = []
+    run = 0
+    for i in range(m):
+        run += delta[i]
+        icov.append(run)
+    for i in range(m):
+        pcov[i] += icov[i - 1] - ends_at[i]
+    return icov, pcov
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(lifted_arcs(), max_size=4), min_size=1, max_size=3), circle_regions)
+def test_indexed_coverage_matches_bisect(soups, region):
+    split_lists = [region.pieces]
+    for arcs in soups:
+        soup = []
+        for lo, hi, lc, hc in arcs:
+            if hi - lo < 1:  # whole-circle arcs never reach a sweep
+                soup.extend(_split_lifted(lo, hi, lc, hc)[0])
+        split_lists.append(soup)
+    pts, cells = _critical_points(split_lists)
+    assert pts == bisect_critical_points(split_lists)
+    for pieces, idx in zip(split_lists, cells):
+        assert _coverage(len(pts), pieces, idx) == bisect_coverage(pts, pieces)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyncomp.errors import (
     DuplicateInput,
@@ -303,3 +304,26 @@ def test_regular_approx_random():
         assert W.minus(V.closure()).measure() < eps
         bpts = Region.points(GOLDEN, W.boundary_points())
         assert sm.verify_smallness(GOLDEN, bpts, cert2) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-30, 30),
+    st.integers(0, 7),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 15), st.booleans()), min_size=1, max_size=3),
+    st.integers(0, 40),
+    st.integers(0, 40),
+)
+def test_orbit_hits_step_matches_frac(m0, r0, arcs, left, right):
+    # hits of an arc with orbit-point ends, so exact boundary hits occur
+    rep = (TH * m0 + R(r0, 8)).frac()
+    pieces = []
+    for m, k, closed in arcs:
+        lo = (TH * m).frac()
+        pieces.append((lo, lo + R(k + 1, 32), closed, not closed))
+    U = Region(GOLDEN, pieces)
+    hits = sm._OrbitHits(GOLDEN, rep, U, -3, 3)
+    hits._grow_left(-3 - left)
+    hits._grow_right(3 + right)
+    window = range(-3 - left, 4 + right)
+    assert hits.hits == [m for m in window if U.contains_point((rep + m * TH).frac())]
