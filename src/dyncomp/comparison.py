@@ -45,11 +45,13 @@ from .plfun import (
 )
 from .regions import (
     CylinderRegion,
+    level_locator,
     measure_gap,
     outer_approx,
     pairwise_disjoint,
     translate_region,
     union_many,
+    walk_levels,
 )
 from .scalars import HALF, ONE, ZERO, ExactScalar
 from .smallness import (
@@ -261,20 +263,18 @@ def column_counts(tower, S):
     tower was not refined against S and raises UnrefinedTower.  Columns
     with empty interior have no open levels and yield empty tuples.
     """
+    locate = level_locator(tower.system, S)
     out = []
-    for k, (cell, n) in enumerate(tower.columns):
-        if tower.interior_empty(k):
-            out.append(())
-            continue
+    for cell, n in tower.columns:
         hits = []
-        level = cell.interior()
-        for j in range(n):
-            if j:
-                level = translate_region(tower.system, level, 1)
-            if S.contains_region(level):
-                hits.append(j)
-            elif S.intersects(level):
-                raise UnrefinedTower("open level straddles the test region")
+        opened = cell.interior()
+        if not opened.is_empty:
+            for j, level in enumerate(walk_levels(tower.system, opened, n)):
+                where = locate(level)
+                if where is None:
+                    raise UnrefinedTower("open level straddles the test region")
+                if where:
+                    hits.append(j)
         out.append(tuple(hits))
     return tuple(out)
 

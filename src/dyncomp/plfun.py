@@ -175,24 +175,14 @@ def support_of(system, f):
     bps = f.breakpoints
     if len(bps) == 1:
         return Region.empty(system) if bps[0][1].sign() == 0 else Region.full(system)
-    nz = []
+    # f is linear on each segment, so it vanishes at no more than one point
+    # of a segment with a nonzero end: the closure holds the whole segment
+    arcs = []
     for i in range(len(bps)):
         xa, va, xb, vb = f._segment(i)
-        sa, sb = va.sign(), vb.sign()
-        if sa == 0 and sb == 0:
-            pass
-        elif sa == 0:
-            nz.append((xa, xb, False, True))
-        elif sb == 0:
-            nz.append((xa, xb, True, False))
-        elif sa == sb:
-            nz.append((xa, xb, True, True))
-        else:
-            t = va / (va - vb)
-            xc = xa + (xb - xa) * t
-            nz.append((xa, xc, True, False))
-            nz.append((xc, xb, False, True))
-    return Region(system, nz).closure()
+        if va.sign() != 0 or vb.sign() != 0:
+            arcs.append((xa, xb, True, True))
+    return Region(system, arcs)
 
 
 def support_report(system, f) -> SupportReport:

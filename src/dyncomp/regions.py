@@ -15,7 +15,7 @@ separation constructions need.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -297,7 +297,9 @@ class Region:
         return total
 
     def contains_point(self, x) -> bool:
-        x = ExactScalar.coerce(x).frac()
+        x = ExactScalar.coerce(x)
+        if x.sign() < 0 or x >= 1:
+            x = x.frac()
         ps = self.pieces
         if not ps:
             return False
@@ -626,6 +628,137 @@ class CylinderRegion:
     def translate(self, n: int):
         K = self.system.resolution
         return CylinderRegion(self.system, ((i + n) % K for i in self.indices))
+
+
+# ---------------------------------------------------------------------------
+# tower levels, walked instead of built
+#
+# A level of a tower column is the open region h^j(int cell).  On an
+# odometer a level is that CylinderRegion.  On a circle it is a tuple of
+# lifted open arcs (lo, hi) with lo in [0, 1) and hi - lo < 1, one per
+# logical arc of int cell and in that order; the next level adds theta to
+# each lo and wraps it with one compare, so no region is built.  The whole
+# circle, which no such arc covers, is the sentinel _FULL_LEVEL.
+
+_FULL_LEVEL = ((ZERO, ONE),)
+_TWO = ExactScalar(2)
+
+
+def walk_levels(system, opened, n):
+    """Yield the levels h^0(opened), ..., h^(n-1)(opened) of an open region."""
+    if isinstance(system, Odometer):
+        level = opened
+        for j in range(n):
+            if j:
+                level = level.translate(1)
+            yield level
+        return
+    if opened.is_full:
+        for _ in range(n):
+            yield _FULL_LEVEL
+        return
+    arcs = opened.logical_arcs()
+    los = [lo for lo, _, _, _ in arcs]
+    lengths = [hi - lo for lo, hi, _, _ in arcs]
+    theta = system.theta
+    for j in range(n):
+        if j:
+            los = [lo - 1 if lo >= 1 else lo for lo in (lo + theta for lo in los)]
+        yield tuple((lo, lo + ln) for lo, ln in zip(los, lengths))
+
+
+def levels_disjoint(system, levels) -> bool:
+    """Exact pairwise disjointness of walked levels.
+
+    On a circle this is one sort of the lifted arcs by left end: they are
+    pairwise disjoint exactly when each ends by the next one's start and
+    the last ends by the first one's start plus 1.
+    """
+    if isinstance(system, Odometer):
+        return pairwise_disjoint(system, levels)
+    arcs = sorted((arc for level in levels for arc in level), key=itemgetter(0))
+    if not arcs:
+        return True
+    for (_, hi), (lo, _) in zip(arcs, arcs[1:]):
+        if lo < hi:
+            return False
+    return arcs[-1][1] - 1 <= arcs[0][0]
+
+
+class ArcLocator:
+    """Lifted open arcs against sorted points of the circle, by bisection.
+
+    The points cut the circle into gaps; gap i runs from points[i - 1] to
+    points[i], and gaps 0 and len(points) are the same gap through the
+    last point and the first.  An arc (lo, hi), lo in [0, 1), hi - lo < 1,
+    holds a point strictly inside exactly when the first point after lo,
+    taken cyclically and lifted past lo, lies below hi; otherwise the arc
+    lies in one gap.
+    """
+
+    __slots__ = ("points", "lifted")
+
+    def __init__(self, points):
+        self.points = list(points)
+        # each point and its lift by 1, then a bound above every hi
+        self.lifted = self.points + [p + 1 for p in self.points] + [_TWO]
+
+    def gap(self, lo, hi):
+        """The index of the gap holding (lo, hi), or None if it holds a point."""
+        i = bisect_right(self.points, lo)
+        return None if self.lifted[i] < hi else i
+
+    def inside(self, lo, hi):
+        """The points strictly inside (lo, hi), lifted into it, ascending."""
+        i = bisect_right(self.points, lo)
+        lifted, out = self.lifted, []
+        while lifted[i] < hi:
+            out.append(lifted[i])
+            i += 1
+        return out
+
+
+def level_locator(system, S):
+    """A function telling where a walked level lies against S: True when
+    it lies in S, False when it misses S, None when it meets S and its
+    complement both.
+
+    On a circle the points are S's boundary points.  An arc holding one
+    strictly inside meets S and its complement.  A gap is connected and
+    misses the boundary, so it lies wholly in the interior of S or wholly
+    outside its closure; a flag per gap, from one point in it, says which.
+    """
+    _ambient(system, S)
+    if isinstance(system, Odometer):
+        def locate_cylinders(level):
+            if S.contains_region(level):
+                return True
+            return None if S.intersects(level) else False
+        return locate_cylinders
+    loc = ArcLocator(S.boundary_points())
+    pts = loc.points
+    if not pts:
+        return lambda level: S.is_full
+    inside = [S.contains_point((pts[-1] + pts[0] + 1) / 2)]
+    inside += [S.contains_point((a + b) / 2) for a, b in zip(pts, pts[1:])]
+    inside.append(inside[0])
+    gap = loc.gap
+
+    def locate_arcs(level):
+        if level is _FULL_LEVEL:
+            return None
+        where = True
+        for k, (lo, hi) in enumerate(level):
+            g = gap(lo, hi)
+            if g is None:
+                return None
+            if k == 0:
+                where = inside[g]
+            elif inside[g] != where:
+                return None
+        return where
+
+    return locate_arcs
 
 
 # ---------------------------------------------------------------------------

@@ -181,14 +181,17 @@ def min_orbit_gap(system, N: int) -> ExactScalar:
     if N < 1:
         raise ValueError("N must be >= 1")
     if isinstance(system, CircleRotation):
-        pos = ExactScalar(0)
-        best = None
-        for _ in range(N):
-            pos = (pos + system.theta).frac()
-            g = pos if pos <= HALF else ExactScalar(1) - pos
-            if best is None or g < best:
-                best = g
-        return best
+        # min ||n*theta|| over 1 <= n <= N is ||q_k*theta|| for the largest
+        # continued-fraction denominator q_k <= N, since no n < q_(k+1) comes
+        # closer to an integer than q_k does (best approximation, Lagrange)
+        x, q_prev, q = system.theta, 0, 1
+        while True:
+            x = 1 / x
+            a = x.floor()
+            x = x - a
+            if a * q + q_prev > N:
+                return circle_norm(q * system.theta)
+            q_prev, q = q, a * q + q_prev
     if isinstance(system, TorusRotation):
         return min(min_orbit_gap(f, N) for f in system.factors)
     if isinstance(system, Odometer):

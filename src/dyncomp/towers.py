@@ -6,7 +6,6 @@ disjoint interiors and their closures tile the space.  Everything is
 verified exactly at construction time.
 """
 
-import bisect
 from dataclasses import dataclass
 
 from .errors import (
@@ -18,19 +17,26 @@ from .errors import (
 from .scalars import ExactScalar, ONE, ZERO
 from .systems import CircleRotation, Odometer, min_orbit_gap
 from .regions import (
+    ArcLocator,
     CylinderRegion,
     Region,
     covers_space,
+    levels_disjoint,
     pairwise_disjoint,
     translate_region,
     union_many,
+    walk_levels,
 )
 
 RETURN_GUARD = 10**6
 
 
 def first_return(system, Y):
-    """Partition of the base by first-return time, as (region, time) pairs."""
+    """Partition of the base by first-return time, as (region, time) pairs.
+
+    A circle base whose interior is one arc takes the three-gap path; other
+    bases walk the orbit of the interior one step at a time.
+    """
     if not isinstance(system, (CircleRotation, Odometer)):
         raise MixedAmbient("towers are built over circle rotations and odometers")
     base = Y.closure()
@@ -39,6 +45,16 @@ def first_return(system, Y):
         raise EmptyInput("base needs non-empty interior")
     if inner.closure() != base:
         raise ValueError("base must be the closure of its interior")
+    if isinstance(system, CircleRotation) and not inner.is_full:
+        arcs = inner.logical_arcs()
+        if len(arcs) == 1:
+            return _three_gap_return(system, arcs[0][0], arcs[0][1])
+    return _walk_return(system, base, inner)
+
+
+def _walk_return(system, base, inner):
+    """First return by walking: translate what has not yet returned, keep
+    what lands in the base, until nothing is left."""
     cells = {}
     current = translate_region(system, inner, 1)
     n = 1
@@ -51,6 +67,44 @@ def first_return(system, Y):
         current = translate_region(system, current.minus(base), 1)
         n += 1
     return [(cells[n], n) for n in sorted(cells)]
+
+
+def _three_gap_return(system, a, b):
+    """First return to the closed arc [a, b] of its interior (a, b), by the
+    three-gap theorem (Sos 1958; Slater 1967).
+
+    With L = b - a, let alpha = {p*theta} be the first fractional part of
+    the orbit below L and beta = 1 - {q*theta} the first one above 1 - L.
+    The cells are (a, b - alpha] at height p, [a + beta, b) at height q,
+    and (b - alpha, a + beta) at height p + q, which is empty unless
+    alpha + beta > L (alpha + beta < L would give an earlier p or q).  When
+    alpha + beta = L the one point b - alpha = a + beta returns at min(p, q).
+    """
+    theta = system.theta
+    L = b - a
+    d, n = ZERO, 0
+    p = q = None
+    while p is None or q is None:
+        n += 1
+        if n > RETURN_GUARD:
+            raise NonTerminationGuard("return times exceeded %d" % RETURN_GUARD)
+        d = d + theta
+        if d >= 1:
+            d = d - 1
+        if p is None and d < L:
+            p, alpha = n, d
+        if q is None and ONE - d < L:
+            q, beta = n, ONE - d
+    mid = b - alpha  # equals a + beta when alpha + beta = L
+    slack = (alpha + beta - L).sign()
+    if slack > 0 and p + q > RETURN_GUARD:
+        raise NonTerminationGuard("return times exceeded %d" % RETURN_GUARD)
+    arcs = {}
+    arcs.setdefault(p, []).append((a, mid, False, slack > 0 or p < q))
+    arcs.setdefault(q, []).append((a + beta, b, slack > 0 or q < p, False))
+    if slack > 0:
+        arcs[p + q] = [(mid, a + beta, False, False)]
+    return [(Region(system, arcs[n]), n) for n in sorted(arcs)]
 
 
 @dataclass(frozen=True)
@@ -92,8 +146,9 @@ class RokhlinTower:
         disjoint levels of total measure 1 hold every cylinder.
         """
         sys = self.system
-        opens = [lvl for _, _, lvl in self.open_levels() if not lvl.is_empty]
-        if not pairwise_disjoint(sys, opens):
+        levels = [level for cell, n in self.columns
+                  for level in walk_levels(sys, cell.interior(), n)]
+        if not levels_disjoint(sys, levels):
             raise RuntimeError("tower invariant failed: open levels overlap")
         if union_many(sys, [cell for cell, _ in self.columns]) != self.base:
             raise RuntimeError("tower invariant failed: cells do not union to the base")
@@ -171,62 +226,39 @@ def _boundary_points(parts):
     return sorted(pts)
 
 
-def _strictly_inside(arcs, x):
-    """Index of the lifted arc holding x strictly inside, or None."""
-    for idx, (a, b) in enumerate(arcs):
-        if a < x < b or a < x + ONE < b:
-            return idx
-    return None
-
-
 def _refine_circle(tower, parts):
+    """Cut each column's arcs at the pullbacks of the partition boundary
+    points that its walked levels hold strictly inside."""
     system = tower.system
-    bpts = _boundary_points(parts)
-    theta = system.theta
-    max_n = max(n for _, n in tower.columns)
-    col_arcs = []  # (list of lifted arcs, set of cut points) per column
-    for cell, _ in tower.columns:
-        arcs = [(a, b) for a, b, _, _ in cell.interior().logical_arcs()]
-        col_arcs.append((arcs, set()))
-    for b in bpts:
-        x = ExactScalar.coerce(b).frac()
-        for j in range(max_n):
-            if j:
-                x = (x - theta).frac()
-            for k, (cell, n) in enumerate(tower.columns):
-                if n <= j:
-                    continue
-                arcs, cuts = col_arcs[k]
-                if _strictly_inside(arcs, x) is not None:
-                    cuts.add(x)
-                    break
+    points = ArcLocator(_boundary_points(parts))
     cols = []
-    for k, (cell, n) in enumerate(tower.columns):
-        arcs, cuts = col_arcs[k]
-        for a, b in arcs:
-            inner = sorted(c if a < c else c + ONE for c in cuts
-                           if a < c < b or a < c + ONE < b)
-            stops = [a] + inner + [b]
+    for cell, n in tower.columns:
+        levels = walk_levels(system, cell.interior(), n)
+        base = next(levels)
+        cuts = [set(points.inside(a, b)) for a, b in base]
+        for level in levels:
+            for (a, _), (lo, hi), found in zip(base, level, cuts):
+                found.update(a + (x - lo) for x in points.inside(lo, hi))
+        for (a, b), found in zip(base, cuts):
+            stops = [a] + sorted(found) + [b]
             for lo, hi in zip(stops, stops[1:]):
                 cols.append((Region(system, [(lo, hi, True, True)]), n))
     cols.sort(key=lambda cn: (cn[1], cn[0].pieces[0][0]))
     refined = RokhlinTower(system, tower.base, tuple(cols))
     _check_kac(refined)
-    _check_levels_classified(refined, bpts)
+    _check_levels_classified(refined, points)
     return refined
 
 
-def _check_levels_classified(tower, bpts):
+def _check_levels_classified(tower, points):
     """No partition boundary point may sit strictly inside any open level."""
-    if not bpts:
+    if not points.points:
         return
-    for k, j, level in tower.open_levels():
-        for a, b, _, _ in level.logical_arcs():
-            i = bisect.bisect_right(bpts, a)
-            if i < len(bpts) and bpts[i] < b:
-                raise RuntimeError("refined level straddles a partition boundary")
-            if (b - ONE).sign() > 0 and bpts[0] + ONE < b:
-                raise RuntimeError("refined level straddles a partition boundary")
+    for cell, n in tower.columns:
+        for level in walk_levels(tower.system, cell.interior(), n):
+            for lo, hi in level:
+                if points.gap(lo, hi) is None:
+                    raise RuntimeError("refined level straddles a partition boundary")
 
 
 def _refine_odometer(tower, parts):

@@ -16,7 +16,7 @@ from dyncomp.errors import (
 from dyncomp.scalars import ExactScalar, golden_theta, HALF, ONE, ZERO
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.regions import BoxRegion, CylinderRegion, Region
-from dyncomp.towers import build_tower, disjoint_base, refine_tower
+from dyncomp.towers import RokhlinTower, build_tower, disjoint_base, refine_tower
 from dyncomp.plfun import difference, integral, scale
 from dyncomp import comparison as cp
 
@@ -193,6 +193,10 @@ def test_column_counts_classifies_every_level():
     for k, (cell, n) in enumerate(refined.columns):
         assert len(inside[k]) + len(outside[k]) == n
         assert set(inside[k]).isdisjoint(outside[k])
+    # a level of two arcs, one in S and one outside it, straddles S
+    two = Region(GOLDEN, [(ZERO, R(1, 4), True, True), (HALF, R(3, 4), True, True)])
+    with pytest.raises(UnrefinedTower):
+        cp.column_counts(RokhlinTower(GOLDEN, two, ((two, 1),)), closed_arc(GOLDEN, ZERO, R(1, 4)))
 
 
 def test_dynamic_comparison_small_instance():

@@ -407,3 +407,35 @@ def test_carried_slopes_match_breakpoints(fns, n):
         assert _slopes(f) == slopes_from_breakpoints(f)
     bare = translate_fn(GOLDEN, fns[1], n)
     assert _slopes(bare) == slopes_from_breakpoints(bare)
+
+
+def support_by_zero_crossings(f):
+    """Closure of {f != 0} from the open nonzero pieces of each segment,
+    split at the segment's zero crossing, then closed by a second sweep."""
+    bps = f.breakpoints
+    if len(bps) == 1:
+        return Region.empty(GOLDEN) if bps[0][1].sign() == 0 else Region.full(GOLDEN)
+    nz = []
+    for i in range(len(bps)):
+        xa, va, xb, vb = f._segment(i)
+        sa, sb = va.sign(), vb.sign()
+        if sa == 0 and sb == 0:
+            pass
+        elif sa == 0:
+            nz.append((xa, xb, False, True))
+        elif sb == 0:
+            nz.append((xa, xb, True, False))
+        elif sa == sb:
+            nz.append((xa, xb, True, True))
+        else:
+            xc = xa + (xb - xa) * (va / (va - vb))
+            nz.append((xa, xc, True, False))
+            nz.append((xc, xb, False, True))
+    return Region(GOLDEN, nz).closure()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pl_functions(), pl_functions())
+def test_support_of_matches_zero_crossings(f, g):
+    for h in (f, minimum(f, g), sum_of([f, g])):
+        assert support_of(GOLDEN, h).pieces == support_by_zero_crossings(h).pieces

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dyncomp.scalars import ExactScalar, golden_theta
+from dyncomp.scalars import HALF, ExactScalar, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation, min_orbit_gap
 
 
@@ -28,6 +29,34 @@ def test_min_orbit_gap_golden():
     assert min_orbit_gap(h, 1) == ExactScalar(3, -1, 2, 5)
     # min(||theta||, ||2 theta||) = 2 theta - 1 = sqrt5 - 2
     assert min_orbit_gap(h, 2) == ExactScalar(-2, 1, 1, 5)
+
+
+def min_gap_by_orbit_walk(h, N):
+    """min ||n*theta|| over 1 <= n <= N, one orbit point at a time."""
+    pos, best = ExactScalar(0), None
+    for _ in range(N):
+        pos = (pos + h.theta).frac()
+        g = pos if pos <= HALF else 1 - pos
+        if best is None or g < best:
+            best = g
+    return best
+
+
+# angles in Q(sqrt 2), Q(sqrt 5), Q(sqrt 13) and Q(sqrt 3), on either side of 1/2
+THETAS = (
+    ExactScalar(-1, 1, 1, 2),
+    golden_theta(),
+    ExactScalar(-3, 1, 2, 13),
+    ExactScalar(1, 1, 7, 3),
+    ExactScalar(5, -1, 3, 7),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(THETAS), st.integers(1, 400))
+def test_min_orbit_gap_matches_orbit_walk(theta, N):
+    h = CircleRotation(theta)
+    assert repr(min_orbit_gap(h, N)) == repr(min_gap_by_orbit_walk(h, N))
 
 
 def test_orbit_shift():

@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dyncomp.towers as towers_mod
 from dyncomp import comparison as cp
@@ -111,6 +111,15 @@ def test_verify_rejects_broken_towers():
                 GOLDEN,
                 Region.interval(GOLDEN, R(0), R(3, 4)),
                 ((half, 1), (Region.interval(GOLDEN, R(1, 4), R(3, 4)), 1)),
+            ),
+            "overlap",
+        ),
+        # the same across 0: [3/4, 5/4] and [0, 1/2] share (0, 1/4)
+        (
+            RokhlinTower(
+                GOLDEN,
+                Region.interval(GOLDEN, R(3, 4), R(3, 2)),
+                ((Region.interval(GOLDEN, R(3, 4), R(5, 4)), 1), (half, 1)),
             ),
             "overlap",
         ),
@@ -359,3 +368,125 @@ def test_odometer_matches_index_scan_oracles(bases, data):
     ):
         report = cp.verify_witness(odo, A, B, dataclasses.replace(w, entries=entries))
         assert dict(report.clauses) == scan_verdicts(odo, A, B, entries)
+
+
+# -- circle towers against the region-walking references
+
+# angles in three quadratic fields: sqrt 2 - 1, the golden angle, (sqrt 13 - 3)/2
+FIELD_THETAS = (ExactScalar(-1, 1, 1, 2), golden_theta(), ExactScalar(-3, 1, 2, 13))
+
+
+def field_point(theta, m, r, q):
+    """frac(m*theta + r/q): an orbit point of theta when r = 0."""
+    return (theta * R(m) + R(r, q)).frac()
+
+
+@st.composite
+def circle_bases(draw, max_arcs=1):
+    """A closed arc [a, a + L] with a and L in theta's field, often through
+    0 and often with L an orbit point; with max_arcs=2, sometimes a second
+    closed arc after a gap."""
+    system = CircleRotation(draw(st.sampled_from(FIELD_THETAS)))
+    th = system.theta
+    a = field_point(th, draw(st.integers(-30, 30)), draw(st.integers(0, 15)), 16)
+    L = field_point(th, draw(st.integers(-12, 12)), draw(st.integers(0, 31)), 32)
+    assume(R(1, 32) <= L <= R(3, 4))
+    arcs = [(a, a + L, True, True)]
+    if max_arcs > 1 and draw(st.booleans()):
+        lo = a + L + R(draw(st.integers(1, 16)), 64)
+        L2 = field_point(th, draw(st.integers(0, 12)), draw(st.integers(0, 31)), 32) / 4 + R(1, 64)
+        assume(lo + L2 < a + 1)
+        arcs.append((lo, lo + L2, True, True))
+    return Region(system, arcs)
+
+
+def cut_loop_refine(tower, parts):
+    """Columns cut by walking each partition boundary point back one step
+    at a time and cutting the column whose cell holds it strictly inside."""
+    system = tower.system
+    bpts = sorted({x for p in parts for x in p.boundary_points()})
+    max_n = max(n for _, n in tower.columns)
+    col_arcs = [([(a, b) for a, b, _, _ in cell.interior().logical_arcs()], set())
+                for cell, _ in tower.columns]
+    for x in bpts:
+        for j in range(max_n):
+            if j:
+                x = (x - system.theta).frac()
+            for (cell, n), (arcs, cuts) in zip(tower.columns, col_arcs):
+                if n > j and any(a < x < b or a < x + 1 < b for a, b in arcs):
+                    cuts.add(x)
+                    break
+    cols = []
+    for (cell, n), (arcs, cuts) in zip(tower.columns, col_arcs):
+        for a, b in arcs:
+            inner = sorted(c if a < c else c + 1 for c in cuts if a < c < b or a < c + 1 < b)
+            stops = [a] + inner + [b]
+            cols.extend((Region(system, [(lo, hi, True, True)]), n) for lo, hi in zip(stops, stops[1:]))
+    return tuple(sorted(cols, key=lambda cn: (cn[1], cn[0].pieces[0][0])))
+
+
+def region_scan_counts(tower, S):
+    """column_counts from one translated Region per level."""
+    out = []
+    for cell, n in tower.columns:
+        hits = []
+        level = cell.interior()
+        for j in range(n if not level.is_empty else 0):
+            if j:
+                level = level.translate(1)
+            if S.contains_region(level):
+                hits.append(j)
+            elif S.intersects(level):
+                raise UnrefinedTower("level straddles the test region")
+        out.append(tuple(hits))
+    return tuple(out)
+
+
+def guarded(guard, fn, *args):
+    """fn(*args) with RETURN_GUARD set to guard; NonTerminationGuard if it fires."""
+    saved = towers_mod.RETURN_GUARD
+    towers_mod.RETURN_GUARD = guard
+    try:
+        return fn(*args)
+    except NonTerminationGuard:
+        return NonTerminationGuard
+    finally:
+        towers_mod.RETURN_GUARD = saved
+
+
+# the golden base [0, theta]: alpha + beta = L, and the point 1 - theta returns at q
+@example(golden_base(), 10**6)
+# an arc through 0 whose ends are orbit points
+@example(Region.interval(GOLDEN, (TH * R(-2)).frac(), (TH * R(-2)).frac() + (TH * R(5)).frac()), 10**6)
+@settings(max_examples=200, deadline=None)
+@given(circle_bases(), st.integers(1, 120))
+def test_three_gap_return_matches_walk(Y, guard):
+    base = Y.closure()
+    inner = base.interior()
+    walked = guarded(guard, towers_mod._walk_return, Y.system, base, inner)
+    assert guarded(guard, first_return, Y.system, Y) == walked
+    if walked is not NonTerminationGuard:
+        assert len(walked) <= 3
+
+
+# two closed arcs, and an arc through 0, against a fixed partition
+@example(Region(GOLDEN, [(R(1, 8), R(1, 4), True, True), (R(1, 2), R(5, 8), True, True)]), [3, 11, 17], 3)
+@example(Region.interval(GOLDEN, R(7, 8), R(9, 8)), [0, 5, 13, 20], 2)
+@settings(max_examples=80, deadline=None)
+@given(circle_bases(max_arcs=2), st.lists(st.integers(0, 23), min_size=2, max_size=5, unique=True),
+       st.integers(2, 3))
+def test_circle_towers_match_region_scans(Y, grid_cuts, m):
+    system = Y.system
+    tower = build_tower(system, Y)
+    assert tower.columns == tuple(
+        (cell.closure(), n) for cell, n in towers_mod._walk_return(system, Y, Y.interior()))
+    cuts = sorted(R(c, 24) for c in grid_cuts)
+    arcs = [(lo, hi) for lo, hi in zip(cuts, cuts[1:])] + [(cuts[-1], cuts[0] + 1)]
+    parts = [Region(system, [(lo, hi, True, True) for lo, hi in arcs[k::m]]) for k in range(m)]
+    parts = [p for p in parts if not p.is_empty]
+    refined = refine_tower(tower, parts)
+    refined.verify()
+    assert refined.columns == cut_loop_refine(tower, parts)
+    for p in parts:
+        assert cp.column_counts(refined, p) == region_scan_counts(refined, p)
+        assert outcome(cp.column_counts, tower, p) == outcome(region_scan_counts, tower, p)
