@@ -48,6 +48,19 @@ def test_whole_space_base():
     assert tower.columns == ((Region.full(GOLDEN), 1),)
 
 
+def test_refine_whole_space_tower():
+    # the whole circle is walked as the open arc (0, 1), so it is cut at 0 too
+    tower = build_tower(GOLDEN, Region.full(GOLDEN))
+    parts = [Region.interval(GOLDEN, R(1, 4), R(3, 4)), Region.interval(GOLDEN, R(3, 4), R(5, 4))]
+    refined = refine_tower(tower, parts)
+    refined.verify()
+    assert refined.columns == (
+        (Region.interval(GOLDEN, R(0), R(1, 4)), 1),
+        (Region.interval(GOLDEN, R(3, 4), R(1)), 1),
+        (Region.interval(GOLDEN, R(1, 4), R(3, 4)), 1),
+    )
+
+
 def test_first_return_times_golden():
     cells = first_return(GOLDEN, golden_base())
     assert [n for _, n in cells] == [1, 2]
