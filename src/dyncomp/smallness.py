@@ -24,7 +24,7 @@ from .errors import (
     UnprovenInput,
 )
 from .scalars import ExactScalar, ONE, ZERO
-from .systems import CircleRotation, Odometer, TorusRotation
+from .systems import CircleRotation, Odometer, TorusRotation, three_gap
 from .regions import (
     BoxRegion,
     CylinderRegion,
@@ -222,19 +222,75 @@ def _min_circle_gap(points):
     return best
 
 
+def _hit_parts(system, U):
+    """U split for orbit stepping: the open arcs of its interior, lifted as
+    in `logical_arcs`, each as (a, b, p, alpha, q, beta) with its
+    `three_gap` data, and the points of U outside those arcs (closed ends
+    and isolated points).  The full circle is the arc (0, 1) plus 0."""
+    if U.is_full:
+        arcs, points = [(ZERO, ONE)], [ZERO]
+    else:
+        inner = U.interior()
+        arcs = [(a, b) for a, b, _, _ in inner.logical_arcs()]
+        points = [z for z, _, _, _ in U.minus(inner).pieces]
+    return [(a, b) + three_gap(system, b - a) for a, b in arcs], points
+
+
+class _ArcHits:
+    """Hit times of one open arc (a, b) by the first-return map.
+
+    A hit m sits at lifted y in (a, b); the next one is at m + p (y + alpha)
+    if that stays below b, else at m + q (y - beta) if that stays above a,
+    else at m + p + q (y + alpha - beta); stepping left is the mirror.
+    `left` and `right` are the hits just outside the window (None until a
+    scan has found the first hit), so growing the window only steps.
+    """
+
+    def __init__(self, a, b, p, alpha, q, beta):
+        self.a, self.b = a, b
+        self.p, self.alpha, self.q, self.beta = p, alpha, q, beta
+        self.left = self.right = None
+
+    def lift(self, x):
+        """x in [0, 1) as a point of (a, b), or None outside the arc."""
+        y = x if self.a < x else x + 1
+        return y if y < self.b else None
+
+    def step_right(self, m, y):
+        if y + self.alpha < self.b:
+            return m + self.p, y + self.alpha
+        if self.a < y - self.beta:
+            return m + self.q, y - self.beta
+        return m + self.p + self.q, y + self.alpha - self.beta
+
+    def step_left(self, m, y):
+        if y + self.beta < self.b:
+            return m - self.q, y + self.beta
+        if self.a < y - self.alpha:
+            return m - self.p, y - self.alpha
+        return m - self.p - self.q, y - self.alpha + self.beta
+
+
 class _OrbitHits:
     """Integers m with h^m(rep) inside U, over a growable window.
+
+    Each arc of U's interior is stepped by its first-return map, and a
+    point of U outside those arcs is hit only at its orbit shift from rep.
+    Only an arc with no hit in the window yet is scanned, one orbit point
+    at a time, and any p + q consecutive times hold a hit.
 
     nearest_free answers the least |m - k| unused hit, preferring the
     positive side on ties, exactly like scanning e = 0, +1, -1, ...
     and skipping collisions.
     """
 
-    def __init__(self, system, rep, U, lo, hi):
-        self.system = system
-        self.U = U
+    def __init__(self, system, rep, U, lo, hi, parts=None):
+        arcs, points = parts or _hit_parts(system, U)
         self.rep = rep
         self.theta = system.theta
+        self.arcs = [_ArcHits(*arc) for arc in arcs]
+        shifts = (system.orbit_shift(rep, z) for z in points)
+        self.point_hits = sorted(m for m in shifts if m is not None)
         self.lo = lo
         self.hi = lo - 1
         self.hits = []
@@ -244,29 +300,50 @@ class _OrbitHits:
     # theta lies in [0, 1), so one step leaves x + theta in [0, 2) and
     # x - theta in (-1, 1): a single exact comparison wraps it, with no floor
 
-    def _grow_right(self, new_hi):
-        theta = self.theta
-        x = (self.rep + (self.hi + 1) * theta).frac()
-        for m in range(self.hi + 1, new_hi + 1):
-            if self.U.contains_point(x):
-                self.hits.append(m)
-                self.free.append(True)
+    def _scan(self, arc, m, stop, step):
+        """First (m, y) hit of arc from m towards stop (inclusive), or None."""
+        theta = self.theta if step > 0 else -self.theta
+        x = (self.rep + m * self.theta).frac()
+        while m != stop + step:
+            y = arc.lift(x)
+            if y is not None:
+                return m, y
+            m += step
             x = x + theta
             if x >= 1:
                 x = x - 1
+            elif x.sign() < 0:
+                x = x + 1
+        return None
+
+    def _grow_right(self, new_hi):
+        add = [m for m in self.point_hits if self.hi < m <= new_hi]
+        for arc in self.arcs:
+            if arc.right is None:
+                first = self._scan(arc, self.hi + 1, new_hi, 1)
+                if first is None:
+                    continue
+                arc.left, arc.right = arc.step_left(*first), first
+            while arc.right[0] <= new_hi:
+                add.append(arc.right[0])
+                arc.right = arc.step_right(*arc.right)
+        add.sort()
+        self.hits.extend(add)
+        self.free.extend([True] * len(add))
         self.hi = new_hi
 
     def _grow_left(self, new_lo):
-        add = []
-        theta = self.theta
-        x = (self.rep + (self.lo - 1) * theta).frac()
-        for m in range(self.lo - 1, new_lo - 1, -1):
-            if self.U.contains_point(x):
-                add.append(m)
-            x = x - theta
-            if x.sign() < 0:
-                x = x + 1
-        add.reverse()
+        add = [m for m in self.point_hits if new_lo <= m < self.lo]
+        for arc in self.arcs:
+            if arc.left is None:
+                first = self._scan(arc, self.lo - 1, new_lo, -1)
+                if first is None:
+                    continue
+                arc.left, arc.right = first, arc.step_right(*first)
+            while arc.left[0] >= new_lo:
+                add.append(arc.left[0])
+                arc.left = arc.step_left(*arc.left)
+        add.sort()
         self.hits = add + self.hits
         self.free = [True] * len(add) + self.free
         self.lo = new_lo
@@ -300,12 +377,13 @@ class _OrbitHits:
 def _assign_targets(system, points, U, depth):
     """(target, shift) per point: distinct targets, minimal |shift| scans."""
     classes = _orbit_classes(system, points)
+    parts = _hit_parts(system, U)
     lookup = {}
     scanners = []
     for ci, (rep, members) in enumerate(classes):
         ks = [k for _, k in members]
         lo, hi = min(ks) - 8, max(ks) + 8
-        scanners.append(_OrbitHits(system, rep, U, lo, hi))
+        scanners.append(_OrbitHits(system, rep, U, lo, hi, parts))
         for p, k in members:
             lookup[p] = (ci, k)
     out = []

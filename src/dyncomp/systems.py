@@ -204,3 +204,43 @@ def min_orbit_gap(system, N: int) -> ExactScalar:
             f"truncation level {system.truncation} too coarse to separate {N + 1} iterates"
         )
     raise MixedAmbient(f"unsupported system {system!r}")
+
+
+def three_gap(system, L: ExactScalar):
+    """(p, alpha, q, beta) for a circle rotation and a length 0 < L <= 1:
+    p is the least n >= 1 with alpha = {n*theta} < L, and q the least n >= 1
+    with beta = 1 - {n*theta} < L.
+
+    By the three-gap theorem (Sos 1958; Slater 1967) the orbit returns to
+    an open arc of length L after p, q or p + q steps, moving by +alpha,
+    -beta or alpha - beta.  p and q are record times of {n*theta} from
+    below and from above, and these records are the lower and upper ends of
+    the Stern-Brocot descent to theta: from a at n_a and b at n_b, while
+    a < b the upper records are b - t*a at n_b + t*n_a for t up to
+    floor(b / a), and the mirror holds while b < a.  A whole run costs one
+    exact division, so the search takes O(log 1/L) runs, not p + q steps.
+    """
+    theta = system.theta
+    na, a, nb, b = 1, theta, 1, 1 - theta
+    p = q = None
+    while True:
+        if p is None and a < L:
+            p, alpha = na, a
+        if q is None and b < L:
+            q, beta = nb, b
+        if p is not None and q is not None:
+            return p, alpha, q, beta
+        if a < b:
+            if q is None:
+                t = ((b - L) / a).floor() + 1
+                if (b - t * a).sign() > 0:
+                    q, beta = nb + t * na, b - t * a
+            run = (b / a).floor()
+            nb, b = nb + run * na, b - run * a
+        else:
+            if p is None:
+                t = ((a - L) / b).floor() + 1
+                if (a - t * b).sign() > 0:
+                    p, alpha = na + t * nb, a - t * b
+            run = (a / b).floor()
+            na, a = na + run * nb, a - run * b

@@ -15,7 +15,7 @@ from .errors import (
     NonTerminationGuard,
 )
 from .scalars import ExactScalar, ONE, ZERO
-from .systems import CircleRotation, Odometer, min_orbit_gap
+from .systems import CircleRotation, Odometer, min_orbit_gap, three_gap
 from .regions import (
     ArcLocator,
     CylinderRegion,
@@ -73,28 +73,16 @@ def _three_gap_return(system, a, b):
     """First return to the closed arc [a, b] of its interior (a, b), by the
     three-gap theorem (Sos 1958; Slater 1967).
 
-    With L = b - a, let alpha = {p*theta} be the first fractional part of
-    the orbit below L and beta = 1 - {q*theta} the first one above 1 - L.
-    The cells are (a, b - alpha] at height p, [a + beta, b) at height q,
-    and (b - alpha, a + beta) at height p + q, which is empty unless
+    With L = b - a and (p, alpha, q, beta) from `three_gap`, the cells are
+    (a, b - alpha] at height p, [a + beta, b) at height q, and
+    (b - alpha, a + beta) at height p + q, which is empty unless
     alpha + beta > L (alpha + beta < L would give an earlier p or q).  When
     alpha + beta = L the one point b - alpha = a + beta returns at min(p, q).
     """
-    theta = system.theta
     L = b - a
-    d, n = ZERO, 0
-    p = q = None
-    while p is None or q is None:
-        n += 1
-        if n > RETURN_GUARD:
-            raise NonTerminationGuard("return times exceeded %d" % RETURN_GUARD)
-        d = d + theta
-        if d >= 1:
-            d = d - 1
-        if p is None and d < L:
-            p, alpha = n, d
-        if q is None and ONE - d < L:
-            q, beta = n, ONE - d
+    p, alpha, q, beta = three_gap(system, L)
+    if max(p, q) > RETURN_GUARD:
+        raise NonTerminationGuard("return times exceeded %d" % RETURN_GUARD)
     mid = b - alpha  # equals a + beta when alpha + beta = L
     slack = (alpha + beta - L).sign()
     if slack > 0 and p + q > RETURN_GUARD:

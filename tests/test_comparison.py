@@ -1,8 +1,11 @@
 import dataclasses
+import functools
+import os
 import random
 from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyncomp.errors import (
     BreakpointBudget,
@@ -17,7 +20,16 @@ from dyncomp.scalars import ExactScalar, golden_theta, HALF, ONE, ZERO
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.regions import BoxRegion, CylinderRegion, Region
 from dyncomp.towers import RokhlinTower, build_tower, disjoint_base, refine_tower
-from dyncomp.plfun import difference, integral, scale
+from dyncomp.plfun import (
+    birkhoff_sum,
+    check_bp_budget,
+    difference,
+    global_extrema,
+    integral,
+    scale,
+    sum_of,
+    translate_fn,
+)
 from dyncomp import comparison as cp
 
 R = ExactScalar.rational
@@ -156,6 +168,88 @@ def test_verify_certificate_window_budget(monkeypatch):
     with pytest.raises(BreakpointBudget, match="S_%d " % (2 * cert.N1)):
         cp.verify_certificate(GOLDEN, cert, Ns=(cert.N1, 2 * cert.N1))
     assert perf_counter() - start < 1.0
+
+
+def build_every_window(system, cert, Ns=None):
+    """verify_certificate with every window S_N built and compared exactly."""
+    failures = []
+    for name, f in (("g0", cert.g0), ("g1", cert.g1)):
+        lo, hi = f.range_bounds()
+        if lo.sign() < 0 or (hi - ONE).sign() > 0:
+            failures.append("%s leaves [0, 1]" % name)
+    if cert.g != difference(cert.g1, cert.g0):
+        failures.append("g is not g1 - g0")
+    if not (cert.m0 - cert.sigma).sign() > 0:
+        failures.append("m0 does not exceed sigma")
+    S0 = birkhoff_sum(system, cert.g, cert.N0)
+    if global_extrema(S0)[0] != cert.m0 * ExactScalar.rational(cert.N0):
+        failures.append("recorded m0 is not the exact minimum at N0")
+    sums = {}
+    for N in sorted(set(int(n) for n in (Ns or (cert.N1, cert.N1 + 1, 2 * cert.N1)))):
+        check_bp_budget(cert.g, N)
+        half = sums.get(N // 2) if N % 2 == 0 else None
+        if half is not None:
+            S = sum_of([half, translate_fn(system, half, -(N // 2))])
+        else:
+            prev = sums.get(N - 1)
+            if prev is not None:
+                S = sum_of([prev, translate_fn(system, cert.g, -(N - 1))])
+            else:
+                S = birkhoff_sum(system, cert.g, N)
+        sums[N] = S
+        if global_extrema(S)[0] < cert.sigma * ExactScalar.rational(N):
+            failures.append("window minimum at N = %d falls below sigma" % N)
+    return failures
+
+
+@functools.cache
+def small_certificates():
+    """Three certificates with N1 = 216, 352 and 960."""
+    pairs = [
+        (Region.empty(GOLDEN), open_arc(GOLDEN, ZERO, HALF)),
+        (closed_arc(GOLDEN, ZERO, R(1, 5)), open_arc(GOLDEN, R(1, 4), R(3, 4))),
+        (closed_arc(GOLDEN, ZERO, R(1, 10)), open_arc(GOLDEN, R(3, 10), R(6, 10))),
+    ]
+    return [cp.birkhoff_certificate(GOLDEN, F, E) for F, E in pairs]
+
+
+def window_outcome(fn, cert, Ns, cap):
+    saved = os.environ.get("DYNCOMP_BP_CAP")
+    if cap is not None:
+        os.environ["DYNCOMP_BP_CAP"] = str(cap)
+    try:
+        return fn(GOLDEN, cert, Ns)
+    except BreakpointBudget as e:
+        return str(e)
+    finally:
+        if saved is None:
+            os.environ.pop("DYNCOMP_BP_CAP", None)
+        else:
+            os.environ["DYNCOMP_BP_CAP"] = saved
+
+
+# window lists: none (the default N1, N1 + 1, 2 * N1), any lengths, or a
+# length n with a few close neighbours and multiples, so pairs a + b = N occur
+WINDOWS = st.one_of(
+    st.none(),
+    st.lists(st.integers(1, 200), min_size=1, max_size=5),
+    st.builds(lambda n, ks: [n] + [m * n + c for m, c in ks], st.integers(2, 40) | st.integers(1, 150),
+              st.lists(st.sampled_from([(1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]), max_size=4)),
+)
+
+
+# S_4 and S_6 fail while min S_3 + min S_1 and 2 * min S_3 fall short of
+# sigma * N by less than 1, so a bound off by one would hide them
+@example(0, 24, [3, 4, 6], None)
+@example(0, 20, [4, 5], None)
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 48), WINDOWS, st.one_of(st.none(), st.integers(1, 4000)))
+def test_verify_certificate_matches_every_window_built(which, sixteenths, Ns, cap):
+    # sigma scaled by sixteenths / 16: raised, short windows fall below it
+    cert = small_certificates()[which]
+    cert = dataclasses.replace(cert, sigma=cert.sigma * R(sixteenths, 16))
+    assert window_outcome(cp.verify_certificate, cert, Ns, cap) == window_outcome(
+        build_every_window, cert, Ns, cap)
 
 
 def test_simplify_inputs_frozen():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyncomp.errors import (
     DuplicateInput,
@@ -15,7 +15,7 @@ from dyncomp.errors import (
 from dyncomp.scalars import ExactScalar, golden_theta, ONE, ZERO
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.regions import BoxRegion, CylinderRegion, Region, translate_region, union_many
-from dyncomp import smallness as sm
+from dyncomp import comparison as cp, smallness as sm
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -327,3 +327,171 @@ def test_orbit_hits_step_matches_frac(m0, r0, arcs, left, right):
     hits._grow_right(3 + right)
     window = range(-3 - left, 4 + right)
     assert hits.hits == [m for m in window if U.contains_point((rep + m * TH).frac())]
+
+
+# -- orbit hits by three-gap stepping, against orbit scans
+
+FIELD_THETAS = (ExactScalar(-1, 1, 1, 2), golden_theta(), ExactScalar(-3, 1, 2, 13))
+
+
+def field_point(theta, m, r, q):
+    """frac(m*theta + r/q): an orbit point of theta when r = 0."""
+    return (theta * R(m) + R(r, q)).frac()
+
+
+@st.composite
+def hit_targets(draw):
+    """(system, U): a union of arcs with closed or open ends and of points,
+    ends and points often on the orbit of 0; or the full circle; or the
+    circle minus one point."""
+    system = CircleRotation(draw(st.sampled_from(FIELD_THETAS)))
+    th = system.theta
+
+    def point():
+        return field_point(th, draw(st.integers(-20, 20)), draw(st.sampled_from([0, 0, 1, 3])), 8)
+
+    shape = draw(st.sampled_from(["arcs", "arcs", "arcs", "full", "co-point"]))
+    if shape == "full":
+        return system, Region.full(system)
+    if shape == "co-point":
+        return system, Region.full(system).minus(Region.points(system, [point()]))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = point()
+        pieces.append((lo, lo + R(draw(st.integers(1, 24)), 64), draw(st.booleans()), draw(st.booleans())))
+    for _ in range(draw(st.integers(0, 2))):
+        x = point()
+        pieces.append((x, x, True, True))
+    return system, Region(system, pieces)
+
+
+def scan_hits(system, rep, U, lo, hi):
+    return [m for m in range(lo, hi + 1) if U.contains_point((rep + m * system.theta).frac())]
+
+
+# a hit on a closed end and a point piece, both orbit points of rep
+@example((GOLDEN, Region(GOLDEN, [(TH, TH + R(1, 8), True, False), ((3 * TH).frac(),) * 2 + (True, True)])),
+         0, 0, [(True, 5), (False, 9), (True, 40)])
+# the circle minus an orbit point of rep, and an arc through 0
+@example((GOLDEN, Region.full(GOLDEN).minus(Region.points(GOLDEN, [(2 * TH).frac()]))), 0, 0, [(False, 7)])
+@example((GOLDEN, Region(GOLDEN, [(R(7, 8), R(9, 8), False, False)])), 3, 1, [(True, 30), (False, 30)])
+@settings(max_examples=150, deadline=None)
+@given(hit_targets(), st.integers(-20, 20), st.sampled_from([0, 0, 1, 5]),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 60)), max_size=4))
+def test_orbit_hits_grow_matches_scan(target, m0, r0, grows):
+    system, U = target
+    rep = field_point(system.theta, m0, r0, 8)
+    hits = sm._OrbitHits(system, rep, U, -2, 2)
+    lo, hi = -2, 2
+    assert hits.hits == scan_hits(system, rep, U, lo, hi)
+    for right, by in grows:
+        if right:
+            hi += by
+            hits._grow_right(hi)
+        else:
+            lo -= by
+            hits._grow_left(lo)
+        assert hits.hits == scan_hits(system, rep, U, lo, hi)
+        assert len(hits.free) == len(hits.hits)
+
+
+class ScanHits:
+    """The orbit-scan version of sm._OrbitHits: test every orbit point."""
+
+    def __init__(self, system, rep, U, lo, hi):
+        self.system, self.rep, self.U = system, rep, U
+        self.lo, self.hi = lo, lo - 1
+        self.hits, self.free = [], []
+        self.grow_right(hi)
+
+    def member(self, m):
+        return self.U.contains_point((self.rep + m * self.system.theta).frac())
+
+    def grow_right(self, new_hi):
+        add = [m for m in range(self.hi + 1, new_hi + 1) if self.member(m)]
+        self.hits += add
+        self.free += [True] * len(add)
+        self.hi = new_hi
+
+    def grow_left(self, new_lo):
+        add = [m for m in range(new_lo, self.lo) if self.member(m)]
+        self.hits = add + self.hits
+        self.free = [True] * len(add) + self.free
+        self.lo = new_lo
+
+    def nearest_free(self, k, depth):
+        while True:
+            best = None
+            for j, m in enumerate(self.hits):
+                if self.free[j] and (best is None or abs(m - k) < abs(self.hits[best] - k)
+                                     or (abs(m - k) == abs(self.hits[best] - k) and m > k)):
+                    best = j
+            reach = min(k - self.lo, self.hi - k)
+            if best is not None and abs(self.hits[best] - k) <= reach:
+                self.free[best] = False
+                return self.hits[best]
+            span = max(k - self.lo, self.hi - k, 1)
+            if span > depth:
+                raise SearchExhausted("depth")
+            self.grow_right(k + 2 * span)
+            self.grow_left(k - 2 * span)
+
+
+def scan_assign_targets(system, points, U, depth):
+    """(target, shift) per sorted point, every orbit point scanned."""
+    scanners, lookup = [], {}
+    for ci, (rep, members) in enumerate(sm._orbit_classes(system, points)):
+        ks = [k for _, k in members]
+        scanners.append(ScanHits(system, rep, U, min(ks) - 8, max(ks) + 8))
+        for p, k in members:
+            lookup[p] = (ci, k)
+    out = []
+    for p in points:
+        ci, k = lookup[p]
+        d = scanners[ci].nearest_free(k, depth) - k
+        out.append((system.apply(p, d), d))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SearchExhausted:
+        return SearchExhausted
+
+
+@settings(max_examples=60, deadline=None)
+@given(hit_targets(), st.lists(st.tuples(st.integers(-12, 12), st.sampled_from([0, 0, 1, 3])),
+                               min_size=1, max_size=8, unique=True),
+       st.sampled_from([40, 200, 10**4]))
+def test_assign_targets_matches_scan(target, point_codes, depth):
+    system, U = target
+    points = sorted({field_point(system.theta, m, r, 8) for m, r in point_codes})
+    assert outcome(sm._assign_targets, system, points, U, depth) == outcome(
+        scan_assign_targets, system, points, U, depth)
+
+
+def test_golden_leftover_cover_steps_instead_of_scanning(monkeypatch):
+    # golden compare hands 210 tower boundary points to one leftover cover
+    # into two arcs of length 1/120; scanning their orbits took 23,532
+    # contains_point calls, stepping by first returns needs none of them
+    calls = []
+    contains_point = Region.contains_point
+    leftover_cover = cp.leftover_cover
+
+    def counting(self, x):
+        calls.append(x)
+        return contains_point(self, x)
+
+    def counted_cover(*args):
+        monkeypatch.setattr(Region, "contains_point", counting)
+        try:
+            return leftover_cover(*args)
+        finally:
+            monkeypatch.setattr(Region, "contains_point", contains_point)
+
+    monkeypatch.setattr(cp, "leftover_cover", counted_cover)
+    w = cp.dynamic_comparison(GOLDEN, Region.interval(GOLDEN, ZERO, R(1, 5)),
+                              open_arc(GOLDEN, R(3, 10), R(6, 10)))
+    assert w.provenance.leftover == 210
+    assert len(calls) < 1000

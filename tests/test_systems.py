@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncomp.scalars import HALF, ExactScalar, golden_theta
-from dyncomp.systems import CircleRotation, Odometer, TorusRotation, min_orbit_gap
+from dyncomp.systems import CircleRotation, Odometer, TorusRotation, min_orbit_gap, three_gap
 
 
 def golden():
@@ -57,6 +57,33 @@ THETAS = (
 def test_min_orbit_gap_matches_orbit_walk(theta, N):
     h = CircleRotation(theta)
     assert repr(min_orbit_gap(h, N)) == repr(min_gap_by_orbit_walk(h, N))
+
+
+def three_gap_by_orbit_walk(h, L):
+    """(p, alpha, q, beta): the first {n*theta} below L and the first
+    1 - {n*theta} below L, one orbit point at a time."""
+    d, n, p, q = ExactScalar(0), 0, None, None
+    while p is None or q is None:
+        n += 1
+        d = (d + h.theta).frac()
+        if p is None and d < L:
+            p, alpha = n, d
+        if q is None and 1 - d < L:
+            q, beta = n, 1 - d
+    return p, alpha, q, beta
+
+
+# sqrt(101) - 10 has first partial quotient 20, so its runs are long
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(THETAS + (ExactScalar(-10, 1, 1, 101),)), st.integers(-40, 40),
+       st.integers(0, 240))
+def test_three_gap_matches_orbit_walk(theta, m, r):
+    h = CircleRotation(theta)
+    # L is an orbit point when r = 0, else a rational; r = 240 gives L = 1
+    L = (theta * m).frac() if r == 0 else ExactScalar(r, 0, 240)
+    if L.sign() == 0:
+        L = ExactScalar(1)
+    assert three_gap(h, L) == three_gap_by_orbit_walk(h, L)
 
 
 def test_orbit_shift():
