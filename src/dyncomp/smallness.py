@@ -300,15 +300,14 @@ class _OrbitHits:
     # theta lies in [0, 1), so one step leaves x + theta in [0, 2) and
     # x - theta in (-1, 1): a single exact comparison wraps it, with no floor
 
-    def _scan(self, arc, m, stop, step):
-        """First (m, y) hit of arc from m towards stop (inclusive), or None."""
+    def _scan(self, arc, start, stop, step):
+        """First (m, y) hit of arc from start towards stop (inclusive), or None."""
         theta = self.theta if step > 0 else -self.theta
-        x = (self.rep + m * self.theta).frac()
-        while m != stop + step:
+        x = (self.rep + start * self.theta).frac()
+        for m in range(start, stop + step, step):
             y = arc.lift(x)
             if y is not None:
                 return m, y
-            m += step
             x = x + theta
             if x >= 1:
                 x = x - 1

@@ -474,7 +474,8 @@ def test_assign_targets_matches_scan(target, point_codes, depth):
 def test_golden_leftover_cover_steps_instead_of_scanning(monkeypatch):
     # golden compare hands 210 tower boundary points to one leftover cover
     # into two arcs of length 1/120; scanning their orbits took 23,532
-    # contains_point calls, stepping by first returns needs none of them
+    # contains_point calls, and stepping by first returns makes none (210
+    # calls, one per point, remain outside the hit search)
     calls = []
     contains_point = Region.contains_point
     leftover_cover = cp.leftover_cover
