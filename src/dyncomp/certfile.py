@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import MalformedFile
 from .plfun import CylinderFunction, PLFunction
 from .scalars import ExactScalar, ZERO
-from .specfile import scalar_tokens, system_echo, parse_system_echo
+from .specfile import region_hash, scalar_tokens, system_echo, parse_system_echo
 from .systems import Odometer
 
 try:
@@ -50,8 +50,6 @@ class CertificateFile:
 
 
 def make_certfile(system, named_inputs, witness, report) -> CertificateFile:
-    from .specfile import region_hash
-
     return CertificateFile(
         version=FORMAT_VERSION,
         tool=TOOL_VERSION,

@@ -34,8 +34,9 @@ from .comparison import (
 )
 from .certfile import load_certfile, make_certfile, write_certfile
 from .errors import DyncompError, GapNonpositive, MalformedFile
+from .plfun import integral
 from .regions import CylinderRegion, Region
-from .scalars import ExactScalar, HALF
+from .scalars import ExactScalar, HALF, golden_theta
 from .smallness import (
     DEFAULT_DEPTH,
     leftover_cover,
@@ -259,8 +260,6 @@ def cmd_birkhoff(args):
     E = spec.region(args.open)
     fraction, _, _ = _params(spec, args)
     cert = birkhoff_certificate(spec.system, F, E, fraction)
-    from .plfun import integral
-
     print("integral %s" % integral(spec.system, cert.g))
     print("sigma %s" % cert.sigma)
     print("m0 %s" % cert.m0)
@@ -322,8 +321,6 @@ def cmd_thincover(args):
 
 
 def _golden_system():
-    from .scalars import golden_theta
-
     return CircleRotation(golden_theta())
 
 

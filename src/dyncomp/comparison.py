@@ -420,8 +420,8 @@ def dynamic_comparison(system, C, U, sigma_fraction=None, search_depth=None):
     """Witness that C is dominated by U: functions summing to exactly 1 on
     C whose supports translate into U pairwise disjointly.
 
-    Circle rotations run the tower pipeline (retry up to three times with
-    a taller tower); odometers reduce to the clopen matching.
+    Circle rotations run the tower pipeline (three attempts, each with a
+    taller tower than the last); odometers reduce to the clopen matching.
     """
     if isinstance(system, Odometer):
         return clopen_comparison(system, C, U)
@@ -464,7 +464,7 @@ def dynamic_comparison(system, C, U, sigma_fraction=None, search_depth=None):
             "witness verification failed: " + "; ".join(report.failures)
         )
         N_base *= 3
-    if isinstance(failure, Exception) and not isinstance(failure, _Retry):
+    if not isinstance(failure, _Retry):
         raise failure
     raise ColumnDeficit(str(failure))
 

@@ -4,9 +4,10 @@ Circle regions are finite unions of arcs with exact endpoints and per-endpoint
 closed/open flags, kept in a canonical cut-at-zero form: pieces sorted and
 pairwise non-adjacent, wrap-around arcs split at 0, a piece ending at 1 never
 contains the seam point (inclusion of 0 is carried by a piece starting at 0).
-All boolean operations go through a single cyclic sweep over elementary cells
-(critical points and the open intervals between them), so unions, boundaries,
-interiors and containment are exact.
+All boolean operations go through one sweep over elementary cells (critical
+points and the open intervals between them) and one forward pass that turns
+the covered cells back into pieces, so unions, boundaries, interiors and
+containment are exact.
 
 Odometer regions are sets of level-n cylinder indices; torus regions are
 finite unions of boxes (products of arcs) supporting the operations the
@@ -47,9 +48,9 @@ def _check_same_system(a, b):
 
 
 def _split_lifted(lo, hi, lc, hc):
-    """Split a lifted arc (hi - lo in [0,1]) into canonical-range pieces.
-
-    Returns (pieces, full) where full marks a whole-circle arc.
+    """Split a lifted arc (hi - lo in [0,1]) into a list of canonical-range
+    pieces.  A whole-circle arc is the piece (0, 1, closed, open), which the
+    sweep treats like any other.
     """
     ln = hi - lo
     s = ln.sign()
@@ -58,27 +59,27 @@ def _split_lifted(lo, hi, lc, hc):
     if s == 0:
         if lc and hc:
             p = lo.frac()
-            return [(p, p, True, True)], False
-        return [], False
+            return [(p, p, True, True)]
+        return []
     if (ln - 1).sign() == 0:
         if lc or hc:
-            return [], True
+            return [(ZERO, ONE, True, False)]
         # circle minus a single point
         x = lo.frac()
         if x.sign() == 0:
-            return [(ZERO, ONE, False, False)], False
-        return [(ZERO, x, True, False), (x, ONE, False, False)], False
+            return [(ZERO, ONE, False, False)]
+        return [(ZERO, x, True, False), (x, ONE, False, False)]
     lo = lo.frac()
     hi = lo + ln
     t = (hi - 1).sign()
     if t < 0:
-        return [(lo, hi, lc, hc)], False
+        return [(lo, hi, lc, hc)]
     if t == 0:
         out = [(lo, ONE, lc, False)]
         if hc:
             out.append((ZERO, ZERO, True, True))
-        return out, False
-    return [(lo, ONE, lc, False), (ZERO, hi - 1, True, hc)], False
+        return out
+    return [(lo, ONE, lc, False), (ZERO, hi - 1, True, hc)]
 
 
 def _critical_points(split_lists):
@@ -153,65 +154,40 @@ def _sweep(soup):
     return pts, _coverage(len(pts), soup, cells)
 
 
-def _assemble(system, pts, ival_flags, point_flags):
-    """Rebuild a canonical Region from per-cell booleans."""
-    m = len(pts)
-    n = 2 * m
+def _assemble(pts, ival_flags, point_flags):
+    """Canonical pieces of the flagged cells, in one forward pass.
 
-    def covered(ci):
-        i, r = divmod(ci % n, 2)
-        return point_flags[ci % n // 2] if r == 0 else ival_flags[ci % n // 2]
-
-    anchor = None
-    for ci in range(n):
-        if not covered(ci):
-            anchor = ci
-            break
-    if anchor is None:
-        return Region._make(system, ((ZERO, ONE, True, False),))
-
-    pieces = []
-    run_start = None
-    for t in range(anchor + 1, anchor + 1 + n):
-        if covered(t):
-            if run_start is None:
-                run_start = t
-        elif run_start is not None:
-            pieces.extend(_run_piece(pts, run_start, t - 1))
-            run_start = None
-    if run_start is not None:
-        pieces.extend(_run_piece(pts, run_start, anchor + n))
-    pieces.sort(key=lambda p: (p[0], p[1]))
-    return Region._make(system, tuple(pieces))
+    Cell 2i is the point pts[i] and cell 2i+1 the open interval after it,
+    running to the next point or to 1.  Each run of covered cells is one
+    piece, closed where it starts or ends at a point cell and open at an
+    interval cell; a run through the last interval ends at (1, open), and
+    the seam point belongs to the run that starts at cell 0.  The pieces
+    come out sorted, cut at 0 and separated.
+    """
+    out = []
+    lo = None
+    for p, at_point, after in zip(pts, point_flags, ival_flags):
+        if at_point:
+            if lo is None:
+                lo, lc = p, True
+        elif lo is not None:
+            out.append((lo, p, lc, False))
+            lo = None
+        if after:
+            if lo is None:
+                lo, lc = p, False
+        elif lo is not None:
+            out.append((lo, p, lc, True))
+            lo = None
+    if lo is not None:
+        out.append((lo, ONE, lc, False))
+    return tuple(out)
 
 
-def _run_piece(pts, a, b):
-    m = len(pts)
-    n = 2 * m
-
-    def cell_lo(ci):
-        w, r = divmod(ci, n)
-        i, kind = divmod(r, 2)
-        p = pts[i] + w if w else pts[i]
-        if kind == 0:
-            return p, True
-        return p, False
-
-    def cell_hi(ci):
-        w, r = divmod(ci, n)
-        i, kind = divmod(r, 2)
-        if kind == 0:
-            p = pts[i] + w if w else pts[i]
-            return p, True
-        nxt = pts[i + 1] if i + 1 < m else ONE
-        return nxt + w if w else nxt, False
-
-    lo, lc = cell_lo(a)
-    hi, hc = cell_hi(b)
-    out, full = _split_lifted(lo, hi, lc, hc)
-    if full:
-        raise AssertionError("full-circle run must be caught earlier")
-    return out
+def _swept(soup):
+    """Canonical pieces of the union of a piece soup; () for no pieces."""
+    pts, (icov, pcov) = _sweep(soup)
+    return _assemble(pts, [c > 0 for c in icov], [c > 0 for c in pcov])
 
 
 class Region:
@@ -222,21 +198,10 @@ class Region:
     def __init__(self, system: CircleRotation, arcs):
         """Build from an iterable of lifted arcs (lo, hi, lo_closed, hi_closed)."""
         soup = []
-        full = False
         for lo, hi, lc, hc in arcs:
-            ps, f = _split_lifted(ExactScalar.coerce(lo), ExactScalar.coerce(hi), lc, hc)
-            full = full or f
-            soup.extend(ps)
-        if full:
-            canon = ((ZERO, ONE, True, False),)
-        elif not soup:
-            canon = ()
-        else:
-            pts, (icov, pcov) = _sweep(soup)
-            reg = _assemble(system, pts, [c > 0 for c in icov], [c > 0 for c in pcov])
-            canon = reg.pieces
+            soup += _split_lifted(ExactScalar.coerce(lo), ExactScalar.coerce(hi), lc, hc)
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "pieces", canon)
+        object.__setattr__(self, "pieces", _swept(soup))
 
     def __setattr__(self, name, value):
         raise AttributeError("Region is immutable")
@@ -329,7 +294,7 @@ class Region:
         m = len(pts)
         ivals = [func(tuple(c[0][i] > 0 for c in covs)) for i in range(m)]
         ptsb = [func(tuple(c[1][i] > 0 for c in covs)) for i in range(m)]
-        return _assemble(self.system, pts, ivals, ptsb)
+        return Region._make(self.system, _assemble(pts, ivals, ptsb))
 
     def union(self, other) -> "Region":
         return self._combine([other], lambda t: t[0] or t[1])
@@ -361,39 +326,30 @@ class Region:
 
     # -- topology
 
-    def closure(self) -> "Region":
-        pts, covs = self._cells_with([])
-        icov, pcov = covs[0]
-        m = len(pts)
+    def _topology(self):
+        """The critical points, the interval flags, and per point whether
+        it lies in the closure and in the interior."""
+        pts, ((icov, pcov),) = self._cells_with([])
         ivals = [c > 0 for c in icov]
-        ptsb = [
-            pcov[i] > 0 or icov[i] > 0 or icov[i - 1 if i else m - 1] > 0 for i in range(m)
-        ]
-        return _assemble(self.system, pts, ivals, ptsb)
+        in_closure, in_interior = [], []
+        left = ivals[-1]
+        for c, right in zip(pcov, ivals):
+            in_closure.append(c > 0 or left or right)
+            in_interior.append(c > 0 and left and right)
+            left = right
+        return pts, ivals, in_closure, in_interior
+
+    def closure(self) -> "Region":
+        pts, ivals, in_closure, _ = self._topology()
+        return Region._make(self.system, _assemble(pts, ivals, in_closure))
 
     def interior(self) -> "Region":
-        pts, covs = self._cells_with([])
-        icov, pcov = covs[0]
-        m = len(pts)
-        ivals = [c > 0 for c in icov]
-        ptsb = [
-            pcov[i] > 0 and icov[i] > 0 and icov[i - 1 if i else m - 1] > 0 for i in range(m)
-        ]
-        return _assemble(self.system, pts, ivals, ptsb)
+        pts, ivals, _, in_interior = self._topology()
+        return Region._make(self.system, _assemble(pts, ivals, in_interior))
 
     def boundary_points(self) -> tuple:
-        pts, covs = self._cells_with([])
-        icov, pcov = covs[0]
-        m = len(pts)
-        out = []
-        for i in range(m):
-            left = icov[i - 1 if i else m - 1] > 0
-            right = icov[i] > 0
-            in_closure = pcov[i] > 0 or left or right
-            in_interior = pcov[i] > 0 and left and right
-            if in_closure and not in_interior:
-                out.append(pts[i])
-        return tuple(out)
+        pts, _, in_closure, in_interior = self._topology()
+        return tuple(p for p, c, i in zip(pts, in_closure, in_interior) if c and not i)
 
     def boundary(self) -> BoundaryReport:
         return BoundaryReport(points=self.boundary_points())
@@ -473,11 +429,7 @@ def _index_union(system, regions):
 def union_many(system, regions):
     if isinstance(system, Odometer):
         return CylinderRegion(system, _index_union(system, regions)[0])
-    soup = _pieces(system, regions)
-    if not soup:
-        return Region.empty(system)
-    pts, (icov, pcov) = _sweep(soup)
-    return _assemble(system, pts, [c > 0 for c in icov], [c > 0 for c in pcov])
+    return Region._make(system, _swept(_pieces(system, regions)))
 
 
 def pairwise_disjoint(system, regions) -> bool:
@@ -485,20 +437,14 @@ def pairwise_disjoint(system, regions) -> bool:
     if isinstance(system, Odometer):
         union, total = _index_union(system, regions)
         return len(union) == total
-    soup = _pieces(system, regions)
-    if not soup:
-        return True
-    pts, (icov, pcov) = _sweep(soup)
+    pts, (icov, pcov) = _sweep(_pieces(system, regions))
     return max(icov) <= 1 and max(pcov) <= 1
 
 
 def covers_space(system, regions) -> bool:
     if isinstance(system, Odometer):
         return len(_index_union(system, regions)[0]) == system.resolution
-    soup = _pieces(system, regions)
-    if not soup:
-        return False
-    pts, (icov, pcov) = _sweep(soup)
+    pts, (icov, pcov) = _sweep(_pieces(system, regions))
     return min(icov) >= 1 and min(pcov) >= 1
 
 

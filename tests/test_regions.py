@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,11 +21,13 @@ from dyncomp.regions import (
     region_gap,
     small_nbhd,
     union_many,
+    _assemble,
     _coverage,
     _critical_points,
     _split_lifted,
+    _sweep,
 )
-from dyncomp.scalars import ExactScalar, ZERO, golden_theta
+from dyncomp.scalars import ExactScalar, ONE, ZERO, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 
 R = ExactScalar.rational
@@ -399,9 +402,169 @@ def bisect_coverage(pts, split_pieces):
 def test_indexed_coverage_matches_bisect(soups, region):
     split_lists = [region.pieces]
     for arcs in soups:
-        # the soup Region() would sweep; a whole circle splits into nothing
-        split_lists.append([p for arc in arcs for p in _split_lifted(*arc)[0]])
+        # the soup Region() would sweep; a whole circle is the piece (0, 1)
+        split_lists.append([p for arc in arcs for p in _split_lifted(*arc)])
     pts, cells = _critical_points(split_lists)
     assert pts == bisect_critical_points(split_lists)
     for pieces, idx in zip(split_lists, cells):
         assert _coverage(len(pts), pieces, idx) == bisect_coverage(pts, pieces)
+
+
+# -- the forward-pass assembler against the cyclic one it replaced
+
+
+def cyclic_assemble(pts, ival_flags, point_flags):
+    """Canonical pieces of the flagged cells, found by walking the cells
+    cyclically from an uncovered one, lifting each run past 1 and cutting
+    it at 0 again, then sorting."""
+    m = len(pts)
+    n = 2 * m
+
+    def covered(ci):
+        i, r = divmod(ci % n, 2)
+        return point_flags[i] if r == 0 else ival_flags[i]
+
+    anchor = next((ci for ci in range(n) if not covered(ci)), None)
+    if anchor is None:
+        return ((ZERO, ONE, True, False),)
+    pieces = []
+    run_start = None
+    for t in range(anchor + 1, anchor + 1 + n):
+        if covered(t):
+            if run_start is None:
+                run_start = t
+        elif run_start is not None:
+            pieces.extend(cyclic_run_piece(pts, run_start, t - 1))
+            run_start = None
+    if run_start is not None:
+        pieces.extend(cyclic_run_piece(pts, run_start, anchor + n))
+    pieces.sort(key=lambda p: (p[0], p[1]))
+    return tuple(pieces)
+
+
+def cyclic_run_piece(pts, a, b):
+    """The run of cells a..b (indices past 2m lifted by 1), cut at 0."""
+    m = len(pts)
+    w, r = divmod(a, 2 * m)
+    i, kind = divmod(r, 2)
+    lo, lc = pts[i] + w, kind == 0
+    w, r = divmod(b, 2 * m)
+    i, kind = divmod(r, 2)
+    if kind == 0:
+        hi, hc = pts[i] + w, True
+    else:
+        hi, hc = (pts[i + 1] if i + 1 < m else ONE) + w, False
+    out = _split_lifted(lo, hi, lc, hc)
+    # the anchor cell stays uncovered, so no run is the whole circle
+    assert out != [(ZERO, ONE, True, False)]
+    return out
+
+
+def test_forward_assemble_matches_cyclic_on_every_flag_pattern():
+    count = 0
+    for m in range(1, 7):
+        pts = [R(Fraction(k, m)) for k in range(m)]
+        for flags in product((False, True), repeat=2 * m):
+            point_flags, ival_flags = flags[0::2], flags[1::2]
+            assert _assemble(pts, ival_flags, point_flags) == cyclic_assemble(
+                pts, ival_flags, point_flags
+            )
+            count += 1
+    assert count == 5460
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(lifted_arcs(), max_size=6))
+def test_forward_assemble_matches_cyclic_on_soups(arcs):
+    soup = [p for arc in arcs for p in _split_lifted(*arc)]
+    pts, (icov, pcov) = _sweep(soup)
+    # the union, and the cells covered an odd number of times
+    for keep in (lambda c: c > 0, lambda c: c % 2 == 1):
+        ivals, ptsb = [keep(c) for c in icov], [keep(c) for c in pcov]
+        assert _assemble(pts, ivals, ptsb) == cyclic_assemble(pts, ivals, ptsb)
+
+
+# -- region results against membership computed from the operands' arcs
+
+Q = Fraction
+SAMPLES = [Q(k, 32) for k in range(32)]
+NUDGE = Q(1, 64)
+
+
+@st.composite
+def grid_arcs(draw):
+    """Lifted arcs with ends on the 1/16 grid: points, arcs (some through
+    0), whole circles and circles minus a point."""
+    lo = Q(draw(st.integers(0, 15)), 16)
+    kind = draw(st.sampled_from(["point", "arc", "arc", "loop"]))
+    if kind == "point":
+        hi = lo
+    elif kind == "loop":
+        hi = lo + 1
+    else:
+        hi = lo + Q(draw(st.integers(1, 15)), 16)
+    return (lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+def arc_member(arc, x):
+    """x in [0, 1) lies in the lifted arc, by its definition."""
+    lo, hi, lc, hc = arc
+    if lo == hi:
+        return lc and hc and x == lo
+    return any(
+        lo < y < hi or (y == lo and lc) or (y == hi and hc) for y in (x, x + 1)
+    )
+
+
+def arcs_member(arcs, x):
+    return any(arc_member(arc, x % 1) for arc in arcs)
+
+
+def grid_region(arcs):
+    return Region(GOLDEN, [(R(lo), R(hi), lc, hc) for lo, hi, lc, hc in arcs])
+
+
+def assert_canonical(region, member):
+    """Sorted pieces in [0, 1], separated, none closed at 1, and the full
+    circle in its one form; member is the expected membership test."""
+    ps = region.pieces
+    for lo, hi, lc, hc in ps:
+        assert ZERO <= lo <= hi <= ONE and lo < ONE
+        assert lo != hi or (lc and hc)
+        assert not (hi == ONE and hc)
+    for (_, hi, _, hc), (lo, _, lc, _) in zip(ps, ps[1:]):
+        assert hi < lo or (hi == lo and not hc and not lc)
+    for x in SAMPLES:
+        assert region.contains_point(R(x)) == member(x), x
+    if all(member(x) for x in SAMPLES):
+        assert ps == ((ZERO, ONE, True, False),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(grid_arcs(), max_size=3), min_size=3, max_size=3))
+def test_region_results_match_arc_membership(arc_lists):
+    a, b, c = arc_lists
+    A, B, C = (grid_region(arcs) for arcs in arc_lists)
+
+    def inA(x):
+        return arcs_member(a, x)
+
+    def inB(x):
+        return arcs_member(b, x)
+
+    def near_a(x):
+        return [inA(x - NUDGE), inA(x), inA(x + NUDGE)]
+
+    assert_canonical(A, inA)
+    assert_canonical(A.union(B), lambda x: inA(x) or inB(x))
+    assert_canonical(A.intersect(B), lambda x: inA(x) and inB(x))
+    assert_canonical(A.minus(B), lambda x: inA(x) and not inB(x))
+    assert_canonical(A.complement(), lambda x: not inA(x))
+    assert_canonical(
+        union_many(GOLDEN, [A, B, C]), lambda x: inA(x) or inB(x) or arcs_member(c, x)
+    )
+    assert_canonical(A.closure(), lambda x: any(near_a(x)))
+    assert_canonical(A.interior(), lambda x: all(near_a(x)))
+    assert A.boundary_points() == tuple(
+        R(x) for x in SAMPLES if any(near_a(x)) and not all(near_a(x))
+    )
