@@ -34,7 +34,7 @@ from .comparison import (
 )
 from .certfile import load_certfile, make_certfile, write_certfile
 from .errors import DyncompError, GapNonpositive, MalformedFile
-from .plfun import integral
+from .plfun import DEFAULT_BP_CAP, integral
 from .regions import CylinderRegion, Region
 from .scalars import ExactScalar, HALF, golden_theta
 from .smallness import (
@@ -46,7 +46,7 @@ from .smallness import (
     verify_smallness,
     verify_thin_cover,
 )
-from .specfile import MAX_RESOLUTION, load_specfile, parse_scalar, region_hash
+from .specfile import MAX_RESOLUTION, load_specfile, parse_scalar, positive_int, region_hash
 from .systems import CircleRotation, Odometer
 from .towers import build_tower, disjoint_base, refine_tower
 
@@ -175,6 +175,8 @@ def _params(spec, args):
     depth = getattr(args, "depth", None)
     if depth is None:
         depth = spec.params.get("search_depth")
+    else:
+        depth = positive_int(depth, "--depth")
     epsilon = None
     if getattr(args, "epsilon", None):
         epsilon = _flag_scalar(spec, args.epsilon, "--epsilon")
@@ -184,13 +186,19 @@ def _params(spec, args):
 
 
 def load_specfile_checked(args):
-    """Load --spec; its bp-cap applies until run() returns (see run)."""
+    """Load --spec, which the subcommand requires."""
     if not args.spec:
         raise MalformedFile("this subcommand needs --spec")
-    spec = load_specfile(args.spec)
-    if "bp_cap" in spec.params and BP_CAP not in os.environ:
-        os.environ[BP_CAP] = str(spec.params["bp_cap"])
-    return spec
+    return load_specfile(args.spec)
+
+
+def _bp_cap(spec):
+    """The breakpoint cap of one command: DYNCOMP_BP_CAP if set, else the
+    spec's bp-cap, else the library default."""
+    text = os.environ.get(BP_CAP)
+    if text is not None:
+        return positive_int(text, BP_CAP)
+    return DEFAULT_BP_CAP if spec is None else spec.params.get("bp_cap", DEFAULT_BP_CAP)
 
 
 def _emit_comparison(args, spec, witness):
@@ -209,9 +217,8 @@ def _emit_comparison(args, spec, witness):
 def cmd_compare(args):
     spec = load_specfile_checked(args)
     fraction, depth, _ = _params(spec, args)
-    witness = dynamic_comparison(
-        spec.system, spec.region(args.closed), spec.region(args.open), fraction, depth
-    )
+    C, U = spec.region(args.closed), spec.region(args.open)
+    witness = dynamic_comparison(spec.system, C, U, fraction, depth, _bp_cap(spec))
     return _emit_comparison(args, spec, witness)
 
 
@@ -259,14 +266,15 @@ def cmd_birkhoff(args):
     F = spec.region(args.closed)
     E = spec.region(args.open)
     fraction, _, _ = _params(spec, args)
-    cert = birkhoff_certificate(spec.system, F, E, fraction)
+    cap = _bp_cap(spec)
+    cert = birkhoff_certificate(spec.system, F, E, fraction, cap)
     print("integral %s" % integral(spec.system, cert.g))
     print("sigma %s" % cert.sigma)
     print("m0 %s" % cert.m0)
     print("N0 %d" % cert.N0)
     print("N1 %d" % cert.N1)
     if args.check:
-        failures = verify_certificate(spec.system, cert)
+        failures = verify_certificate(spec.system, cert, bp_cap=cap)
         for line in failures:
             print("fail %s" % line)
         if failures:
@@ -468,8 +476,8 @@ def float_birkhoff_min(system, g, N, starts):
 
 
 def oracle_birkhoff(args):
-    if args.spec:
-        spec = load_specfile(args.spec)
+    spec = load_specfile(args.spec) if args.spec else None
+    if spec is not None:
         system = spec.system
         F = spec.region(args.closed)
         E = spec.region(args.open)
@@ -482,7 +490,7 @@ def oracle_birkhoff(args):
         fraction = None
     if not isinstance(system, CircleRotation):
         raise MalformedFile("birkhoff oracle runs over circle rotations")
-    cert = birkhoff_certificate(system, F, E, fraction)
+    cert = birkhoff_certificate(system, F, E, fraction, _bp_cap(spec))
     rng = random.Random(args.seed)
     starts = [rng.random() for _ in range(args.samples)]
     best = float_birkhoff_min(system, cert.g, cert.N0, starts)
@@ -590,7 +598,6 @@ def run(argv) -> int:
     except _Usage as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    prior_cap = os.environ.get(BP_CAP)
     try:
         return args.func(args)
     except (MalformedFile, OSError) as exc:
@@ -608,11 +615,6 @@ def run(argv) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    finally:
-        if prior_cap is None:
-            os.environ.pop(BP_CAP, None)
-        else:
-            os.environ[BP_CAP] = prior_cap
 
 
 def main():

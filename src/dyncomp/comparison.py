@@ -29,6 +29,7 @@ from .errors import (
     UnrefinedTower,
 )
 from .plfun import (
+    DEFAULT_BP_CAP,
     CylinderFunction,
     PLFunction,
     birkhoff_sum,
@@ -139,14 +140,17 @@ class _Retry(Exception):
 # -- Birkhoff-average certificates
 
 
-def birkhoff_certificate(system, F, E, sigma_fraction=None) -> BirkhoffCertificate:
+def birkhoff_certificate(
+    system, F, E, sigma_fraction=None, bp_cap=DEFAULT_BP_CAP
+) -> BirkhoffCertificate:
     """Certificate that the Birkhoff averages of g = g1 - g0 exceed
     sigma = sigma_fraction * integral(g) for every window of length >= N1.
 
     g0 is a bump equal to 1 on F supported away from closure(E); g1 is a
     bump supported inside E equal to 1 on a retract of E.  N0 is found by
-    doubling until the exact minimum of S_N0 g clears sigma * N0; N1 is
-    the block bound N0 * ceil((m0 + max|g|) / (m0 - sigma)).
+    doubling until the exact minimum of S_N0 g clears sigma * N0, each S_N
+    within bp_cap breakpoints; N1 is the block bound
+    N0 * ceil((m0 + max|g|) / (m0 - sigma)).
     """
     if not isinstance(system, CircleRotation):
         raise MixedAmbient("Birkhoff certificates live over circle rotations")
@@ -181,7 +185,7 @@ def birkhoff_certificate(system, F, E, sigma_fraction=None) -> BirkhoffCertifica
     while not global_extrema(S)[0] > bound:
         if 2 * N > _DOUBLING_GUARD:
             raise NonTerminationGuard("Birkhoff doubling exceeded the guard")
-        check_bp_budget(g, 2 * N)
+        check_bp_budget(g, 2 * N, bp_cap)
         S = sum_of([S, translate_fn(system, S, -N)])
         N *= 2
         bound = bound + bound
@@ -192,14 +196,15 @@ def birkhoff_certificate(system, F, E, sigma_fraction=None) -> BirkhoffCertifica
     return BirkhoffCertificate(g0=g0, g1=g1, g=g, N0=N, sigma=sigma, m0=m0, N1=N1)
 
 
-def verify_certificate(system, cert, Ns=None):
+def verify_certificate(system, cert, Ns=None, bp_cap=DEFAULT_BP_CAP):
     """Re-check a certificate from scratch; returns failure strings.
 
     Structural clauses are exact; the window clause is spot-checked at the
-    given lengths (default N1, N1 + 1 and 2 * N1).  The shortest window is
-    always built.  A longer one is settled without building S_N when the
-    cocycle identity S_(a+b)(x) = S_a(x) + S_b(h^a x) over windows already
-    built here (and g itself, N = 1) bounds its minimum by
+    given lengths (default N1, N1 + 1 and 2 * N1), each within bp_cap
+    breakpoints.  The shortest window is always built.  A longer one is
+    settled without building S_N when the cocycle identity
+    S_(a+b)(x) = S_a(x) + S_b(h^a x) over windows already built here (and
+    g itself, N = 1) bounds its minimum by
     min S_a + min S_b >= sigma * N; otherwise S_N is built from such a pair
     and its minimum compared exactly.  The window at N0 is not reused, so
     no window follows from the certificate's own block argument.
@@ -213,13 +218,13 @@ def verify_certificate(system, cert, Ns=None):
         failures.append("g is not g1 - g0")
     if not (cert.m0 - cert.sigma).sign() > 0:
         failures.append("m0 does not exceed sigma")
-    S0 = birkhoff_sum(system, cert.g, cert.N0)
+    S0 = birkhoff_sum(system, cert.g, cert.N0, bp_cap)
     if global_extrema(S0)[0] != cert.m0 * ExactScalar.rational(cert.N0):
         failures.append("recorded m0 is not the exact minimum at N0")
     sums = {1: cert.g}
     lows = {1: global_extrema(cert.g)[0]}
     for N in sorted(set(int(n) for n in (Ns or (cert.N1, cert.N1 + 1, 2 * cert.N1)))):
-        check_bp_budget(cert.g, N)
+        check_bp_budget(cert.g, N, bp_cap)
         floor = cert.sigma * ExactScalar.rational(N)
         if len(sums) > 1 and any(
             N - a in lows and not lows[a] + lows[N - a] < floor for a in lows
@@ -227,7 +232,7 @@ def verify_certificate(system, cert, Ns=None):
             continue
         a = next((a for a in sorted(sums, reverse=True) if N - a in sums), None)
         if a is None:
-            S = birkhoff_sum(system, cert.g, N)
+            S = birkhoff_sum(system, cert.g, N, bp_cap)
         else:
             S = sum_of([sums[a], translate_fn(system, sums[N - a], -a)])
         sums[N] = S
@@ -341,6 +346,15 @@ def _column_bump(system, closed, opened, cover, indices):
     return bump(plateau, interior)
 
 
+def _search_depth(search_depth, n, room):
+    """search_depth, or by default the orbit-search depth for n points
+    hosted in an open set of measure room: ceil(64 n / room), at least
+    DEFAULT_DEPTH."""
+    if search_depth is not None:
+        return search_depth
+    return max(DEFAULT_DEPTH, _ceil(ExactScalar.rational(64 * n) / room))
+
+
 def _finite_comparison(system, C, U, search_depth):
     """C is a finite point set: each point gets its own bump pushed into
     the open set by the leftover cover; no tower or certificate is needed."""
@@ -349,11 +363,8 @@ def _finite_comparison(system, C, U, search_depth):
     if room.sign() <= 0:
         raise GapNonpositive("open set has no measure to host the point cover")
     eps = room * HALF
-    if search_depth is None:
-        search_depth = max(
-            DEFAULT_DEPTH, _ceil(ExactScalar.rational(64 * len(points)) / room)
-        )
-    cover = leftover_cover(system, list(points), U, eps, search_depth)
+    depth = _search_depth(search_depth, len(points), room)
+    cover = leftover_cover(system, list(points), U, eps, depth)
     witness = ComparisonWitness(
         inputs=(C, U),
         entries=tuple(zip(cover.functions, cover.shifts)),
@@ -390,11 +401,8 @@ def _attempt(system, C, U, U0, cert, margins, N_base, search_depth):
     room = U.minus(U0.closure())
     eps = min(cell.measure() for k, (cell, _) in enumerate(refined.columns)
               if not refined.interior_empty(k)) * HALF
-    if search_depth is None:
-        search_depth = max(
-            DEFAULT_DEPTH, _ceil(ExactScalar.rational(64 * max(len(points), 1)) / margins.room)
-        )
-    cover = leftover_cover(system, list(points), room, eps, search_depth)
+    depth = _search_depth(search_depth, max(len(points), 1), margins.room)
+    cover = leftover_cover(system, list(points), room, eps, depth)
     index_of = {p: i for i, p in enumerate(points)}
 
     gs = list(cover.functions)
@@ -416,7 +424,9 @@ def _attempt(system, C, U, U0, cert, margins, N_base, search_depth):
     return ComparisonWitness(inputs=(C, U), entries=entries, provenance=provenance)
 
 
-def dynamic_comparison(system, C, U, sigma_fraction=None, search_depth=None):
+def dynamic_comparison(
+    system, C, U, sigma_fraction=None, search_depth=None, bp_cap=DEFAULT_BP_CAP
+):
     """Witness that C is dominated by U: functions summing to exactly 1 on
     C whose supports translate into U pairwise disjointly.
 
@@ -446,7 +456,7 @@ def dynamic_comparison(system, C, U, sigma_fraction=None, search_depth=None):
         raise ValueError("closed sets mixing arcs and isolated points are not supported")
     C1, U0, _, margins = simplify_inputs(system, C, U)
     fraction = QUARTER if sigma_fraction is None else ExactScalar.coerce(sigma_fraction)
-    cert = birkhoff_certificate(system, C1.closure(), U0, fraction)
+    cert = birkhoff_certificate(system, C1.closure(), U0, fraction, bp_cap)
 
     N_base = cert.N0
     failure = None

@@ -12,7 +12,6 @@ value per level-n cylinder and the PL machinery degenerates to vectors.
 
 import bisect
 import heapq
-import os
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -368,31 +367,27 @@ def translate_fn(system, f, n: int):
     )
 
 
-_DEFAULT_BP_CAP = 10**7
+DEFAULT_BP_CAP = 10**7
 
 
-def _bp_cap() -> int:
-    return int(os.environ.get("DYNCOMP_BP_CAP", _DEFAULT_BP_CAP))
-
-
-def check_bp_budget(g, N: int) -> None:
+def check_bp_budget(g, N: int, cap: int) -> None:
     """Raise BreakpointBudget when S_N g may need more breakpoints than the
     cap allows (N * |breakpoints of g| bounds them)."""
-    cap = _bp_cap()
     if N * len(g.breakpoints) > cap:
         raise BreakpointBudget(
             "S_%d would need up to %d breakpoints (cap %d)" % (N, N * len(g.breakpoints), cap)
         )
 
 
-def birkhoff_sum(system, g, N: int) -> PLFunction:
-    """Unnormalized sum S_N g = sum_{j<N} g o h^j, by cocycle doubling."""
+def birkhoff_sum(system, g, N: int, bp_cap=DEFAULT_BP_CAP) -> PLFunction:
+    """Unnormalized sum S_N g = sum_{j<N} g o h^j, by cocycle doubling;
+    BreakpointBudget if S_N may need more than bp_cap breakpoints."""
     if not isinstance(system, CircleRotation):
         raise MixedAmbient("Birkhoff sums are built over circle rotations")
     N = int(N)
     if N < 1:
         raise ValueError("Birkhoff sum needs N >= 1")
-    check_bp_budget(g, N)
+    check_bp_budget(g, N, bp_cap)
     S = g
     cur = 1
     for bit in bin(N)[3:]:
@@ -639,11 +634,6 @@ class CylinderFunction:
     def translate(self, n: int) -> "CylinderFunction":
         K = len(self.values)
         return CylinderFunction([self.values[(i - n) % K] for i in range(K)])
-
-    def add(self, other: "CylinderFunction") -> "CylinderFunction":
-        if len(self.values) != len(other.values):
-            raise MixedAmbient("cylinder functions live on different truncations")
-        return CylinderFunction([a + b for a, b in zip(self.values, other.values)])
 
     def range_bounds(self):
         mn = mx = self.values[0]

@@ -843,23 +843,6 @@ class BoxRegion:
              for box in self.boxes],
         )
 
-    def interior_boxes(self):
-        out = []
-        for box in self.boxes:
-            axes = []
-            empty = False
-            for lo, hi, lc, hc in box:
-                if (hi - lo - 1).sign() == 0:
-                    axes.append((lo, hi, lc, hc))
-                    continue
-                if (hi - lo).sign() == 0:
-                    empty = True
-                    break
-                axes.append((lo, hi, False, False))
-            if not empty:
-                out.append(tuple(axes))
-        return BoxRegion(self.system, out)
-
     def intersects(self, other) -> bool:
         _check_same_system(self, other)
         for b1 in self.boxes:

@@ -103,10 +103,6 @@ class ExactScalar:
             return _new(x.numerator, 0, x.denominator, 1)
         raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def as_fraction(self) -> Fraction:
         if self.b != 0:
             raise ValueError("irrational scalar has no Fraction form")

@@ -395,6 +395,15 @@ def _assign_targets(system, points, U, depth):
     return out
 
 
+def _target_gaps(targets, U):
+    """Circle distance from each target to the complement of U (1 when U
+    is the whole circle), with the complement built once."""
+    if U.is_full:
+        return [ONE] * len(targets)
+    rest = U.complement()
+    return [arc_point_gap(t, rest) for t in targets]
+
+
 def thin_cover(system, F, U, search_depth: int = DEFAULT_DEPTH) -> ThinCover:
     """Open cover of a finite set whose translates sit disjointly inside U.
 
@@ -413,8 +422,7 @@ def thin_cover(system, F, U, search_depth: int = DEFAULT_DEPTH) -> ThinCover:
     targets = [t for t, _ in assigned]
     pair = _min_circle_gap(targets)
     radii = []
-    for t, _ in assigned:
-        g = arc_point_gap(t, U.complement()) if not U.is_full else ONE
+    for g in _target_gaps(targets, U):
         r = g if pair is None else (pair if pair < g else g)
         radii.append(r / 2 / 2)
     opens = tuple(
@@ -524,9 +532,7 @@ def leftover_cover(system, F, U, eps, search_depth: int = DEFAULT_DEPTH) -> Left
     opens = []
     shifts = []
     pairs = []
-    for x, (t, d) in zip(points, assigned):
-        g = arc_point_gap(t, U.complement()) if not U.is_full else ONE
-        w = g
+    for x, (t, d), w in zip(points, assigned, _target_gaps(targets, U)):
         if pair is not None and pair < w:
             w = pair
         if budget < w:

@@ -103,6 +103,15 @@ def _int(tok, what):
         raise MalformedFile("bad %s %r" % (what, tok)) from None
 
 
+def positive_int(tok, what):
+    """int(tok), or MalformedFile naming `what` unless it is a positive
+    integer."""
+    value = _int(tok, what)
+    if value < 1:
+        raise MalformedFile("%s must be a positive integer, not %d" % (what, value))
+    return value
+
+
 def _field(tok, what):
     D = _int(tok, what)
     if D > MAX_FIELD:
@@ -228,7 +237,7 @@ def parse_specfile(text) -> SpecFile:
                 else:
                     if len(toks) != 2:
                         fail(ln, "%s takes one integer" % key)
-                    value = _int(toks[1], key)
+                    value = positive_int(toks[1], key)
                 params[key.replace("-", "_")] = value
         else:
             fail(lineno, "unknown block %r" % head)

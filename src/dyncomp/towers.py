@@ -164,26 +164,19 @@ def build_tower(system, Y) -> RokhlinTower:
     return tower
 
 
-def disjoint_base(system, N: int, anchor=ZERO):
-    """Closed base containing the anchor whose first N iterates are
-    pairwise disjoint; diameter is a third of the N-step orbit gap."""
+def disjoint_base(system, N: int):
+    """Closed base containing 0 whose first N iterates are pairwise disjoint;
+    diameter is a third of the N-step orbit gap."""
     N = int(N)
     if N < 1:
         raise ValueError("need N >= 1")
     if isinstance(system, CircleRotation):
         half = min_orbit_gap(system, N) / 6
-        a = ExactScalar.coerce(anchor).frac()
-        Y = Region(system, [(a - half, a + half, True, True)])
+        Y = Region(system, [(-half, half, True, True)])
     elif isinstance(system, Odometer):
         gap = min_orbit_gap(system, N)  # 1/K_m for the coarsest fine-enough level
         Km = int((ONE / gap).as_fraction())
-        if isinstance(anchor, tuple):
-            c = system.word_to_index(anchor)
-        elif isinstance(anchor, ExactScalar):
-            c = int(anchor.as_fraction())
-        else:
-            c = int(anchor)
-        Y = CylinderRegion(system, range(c % Km, system.resolution, Km))
+        Y = CylinderRegion(system, range(0, system.resolution, Km))
     else:
         raise MixedAmbient("towers are built over circle rotations and odometers")
     copies = [Y]

@@ -123,6 +123,9 @@ def test_parse_specfile_scalar_forms():
         "system odometer\nend\n",  # no bases
         "system circle\nfield 1000000000000000003\ntheta -1 1 2\nend\n",  # D too large
         "system odometer\nbases" + " 2" * 40 + "\nend\n",  # resolution 2^40 too large
+        "system circle\nfield 5\ntheta -1 1 2\nend\nparams\nsearch-depth 0\nend\n",
+        "system circle\nfield 5\ntheta -1 1 2\nend\nparams\nbp-cap 0\nend\n",
+        "system circle\nfield 5\ntheta -1 1 2\nend\nparams\nbp-cap -5\nend\n",
         "",
     ],
 )
@@ -373,6 +376,29 @@ def test_cli_bp_cap_lasts_one_run(tmp_path, capsys, monkeypatch):
     assert cli.run(["birkhoff", "--check", "--spec", capped]) == 0  # the caller's cap wins
     assert os.environ["DYNCOMP_BP_CAP"] == "10000"
     capsys.readouterr()
+
+
+def test_cli_oracle_birkhoff_honours_spec_bp_cap(tmp_path, capsys, monkeypatch):
+    # g has 8 breakpoints, so the first doubling (S_2) would need up to 16
+    monkeypatch.delenv("DYNCOMP_BP_CAP", raising=False)
+    spec = write(tmp_path, "cap.spec", GOLDEN_FE_SPEC + "params\nbp-cap 5\nend\n")
+    for argv in (["birkhoff"], ["oracle", "birkhoff", "--samples", "10"]):
+        assert cli.run(argv + ["--spec", spec]) == 4
+        assert "S_2 would need up to 16 breakpoints (cap 5)" in capsys.readouterr().err
+
+
+def test_cli_rejects_nonpositive_integer_params(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DYNCOMP_BP_CAP", raising=False)
+    spec = write(tmp_path, "b.spec", EMPTY_SOURCE_SPEC)
+    assert cli.run(["smallness", "--spec", spec, "--region", "E", "--depth", "0"]) == 1
+    assert "--depth must be a positive integer" in capsys.readouterr().err
+    zero = write(tmp_path, "zero.spec", EMPTY_SOURCE_SPEC + "params\nbp-cap 0\nend\n")
+    assert cli.run(["birkhoff", "--spec", zero]) == 1
+    assert "bp-cap must be a positive integer" in capsys.readouterr().err
+    for value in ("abc", "0"):
+        monkeypatch.setenv("DYNCOMP_BP_CAP", value)
+        assert cli.run(["birkhoff", "--spec", spec]) == 1
+        assert "DYNCOMP_BP_CAP" in capsys.readouterr().err
 
 
 # The README's golden spec with the Birkhoff pair F = [0, 1/10], E = (3/10, 3/5)

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import os
 import random
 from time import perf_counter
 
@@ -21,6 +20,7 @@ from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.regions import BoxRegion, CylinderRegion, Region
 from dyncomp.towers import RokhlinTower, build_tower, disjoint_base, refine_tower
 from dyncomp.plfun import (
+    DEFAULT_BP_CAP,
     birkhoff_sum,
     check_bp_budget,
     difference,
@@ -146,31 +146,33 @@ def test_birkhoff_certificate_errors():
         cp.birkhoff_certificate(GOLDEN, Region.empty(GOLDEN), Region.empty(GOLDEN))
 
 
-def test_birkhoff_certificate_doubling_budget(monkeypatch):
+def test_birkhoff_certificate_doubling_budget():
     # g has 8 breakpoints, so the first doubling (S_2) would need up to 16
-    monkeypatch.setenv("DYNCOMP_BP_CAP", "10")
     start = perf_counter()
     with pytest.raises(BreakpointBudget, match="S_2 "):
         cp.birkhoff_certificate(
-            GOLDEN, closed_arc(GOLDEN, ZERO, R(1, 10)), open_arc(GOLDEN, R(3, 10), R(6, 10))
+            GOLDEN,
+            closed_arc(GOLDEN, ZERO, R(1, 10)),
+            open_arc(GOLDEN, R(3, 10), R(6, 10)),
+            bp_cap=10,
         )
     assert perf_counter() - start < 1.0
 
 
-def test_verify_certificate_window_budget(monkeypatch):
+def test_verify_certificate_window_budget():
     # the cap admits S_N1, built by birkhoff_sum, but not the window at
     # N1 + 1, which is built from S_N1 by one more sum
     cert = cp.birkhoff_certificate(GOLDEN, Region.empty(GOLDEN), open_arc(GOLDEN, ZERO, HALF))
-    monkeypatch.setenv("DYNCOMP_BP_CAP", str(cert.N1 * len(cert.g.breakpoints)))
+    cap = cert.N1 * len(cert.g.breakpoints)
     start = perf_counter()
     with pytest.raises(BreakpointBudget, match="S_%d " % (cert.N1 + 1)):
-        cp.verify_certificate(GOLDEN, cert)
+        cp.verify_certificate(GOLDEN, cert, bp_cap=cap)
     with pytest.raises(BreakpointBudget, match="S_%d " % (2 * cert.N1)):
-        cp.verify_certificate(GOLDEN, cert, Ns=(cert.N1, 2 * cert.N1))
+        cp.verify_certificate(GOLDEN, cert, Ns=(cert.N1, 2 * cert.N1), bp_cap=cap)
     assert perf_counter() - start < 1.0
 
 
-def build_every_window(system, cert, Ns=None):
+def build_every_window(system, cert, Ns=None, bp_cap=DEFAULT_BP_CAP):
     """verify_certificate with every window S_N built and compared exactly."""
     failures = []
     for name, f in (("g0", cert.g0), ("g1", cert.g1)):
@@ -181,12 +183,12 @@ def build_every_window(system, cert, Ns=None):
         failures.append("g is not g1 - g0")
     if not (cert.m0 - cert.sigma).sign() > 0:
         failures.append("m0 does not exceed sigma")
-    S0 = birkhoff_sum(system, cert.g, cert.N0)
+    S0 = birkhoff_sum(system, cert.g, cert.N0, bp_cap)
     if global_extrema(S0)[0] != cert.m0 * ExactScalar.rational(cert.N0):
         failures.append("recorded m0 is not the exact minimum at N0")
     sums = {}
     for N in sorted(set(int(n) for n in (Ns or (cert.N1, cert.N1 + 1, 2 * cert.N1)))):
-        check_bp_budget(cert.g, N)
+        check_bp_budget(cert.g, N, bp_cap)
         half = sums.get(N // 2) if N % 2 == 0 else None
         if half is not None:
             S = sum_of([half, translate_fn(system, half, -(N // 2))])
@@ -195,7 +197,7 @@ def build_every_window(system, cert, Ns=None):
             if prev is not None:
                 S = sum_of([prev, translate_fn(system, cert.g, -(N - 1))])
             else:
-                S = birkhoff_sum(system, cert.g, N)
+                S = birkhoff_sum(system, cert.g, N, bp_cap)
         sums[N] = S
         if global_extrema(S)[0] < cert.sigma * ExactScalar.rational(N):
             failures.append("window minimum at N = %d falls below sigma" % N)
@@ -214,18 +216,10 @@ def small_certificates():
 
 
 def window_outcome(fn, cert, Ns, cap):
-    saved = os.environ.get("DYNCOMP_BP_CAP")
-    if cap is not None:
-        os.environ["DYNCOMP_BP_CAP"] = str(cap)
     try:
-        return fn(GOLDEN, cert, Ns)
+        return fn(GOLDEN, cert, Ns, bp_cap=DEFAULT_BP_CAP if cap is None else cap)
     except BreakpointBudget as e:
         return str(e)
-    finally:
-        if saved is None:
-            os.environ.pop("DYNCOMP_BP_CAP", None)
-        else:
-            os.environ["DYNCOMP_BP_CAP"] = saved
 
 
 # window lists: none (the default N1, N1 + 1, 2 * N1), any lengths, or a
