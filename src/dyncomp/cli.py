@@ -413,13 +413,14 @@ def _brute_clopen_feasible(K, a_indices, b_indices):
 
 
 def oracle_clopen(args):
+    trials = positive_int(args.trials, "--trials")
     rng = random.Random(args.seed)
     K = args.K
     if not 2 <= K <= MAX_RESOLUTION:
         raise MalformedFile("need 2 <= K <= %d" % MAX_RESOLUTION)
     system = Odometer(_factor_bases(K))
     agree = 0
-    for _ in range(args.trials):
+    for _ in range(trials):
         b_size = rng.randrange(2, K + 1)
         a_size = rng.randrange(1, b_size)
         a = sorted(rng.sample(range(K), a_size))
@@ -429,8 +430,8 @@ def oracle_clopen(args):
         ok = clopen_comparison(system, A, B).provenance.report.ok
         if ok and _brute_clopen_feasible(K, a, b):
             agree += 1
-    print("trials %d agree %d/%d" % (args.trials, agree, args.trials))
-    return 0 if agree == args.trials else 3
+    print("trials %d agree %d/%d" % (trials, agree, trials))
+    return 0 if agree == trials else 3
 
 
 def _factor_bases(K):
@@ -476,6 +477,7 @@ def float_birkhoff_min(system, g, N, starts):
 
 
 def oracle_birkhoff(args):
+    samples = positive_int(args.samples, "--samples")
     spec = load_specfile(args.spec) if args.spec else None
     if spec is not None:
         system = spec.system
@@ -492,7 +494,7 @@ def oracle_birkhoff(args):
         raise MalformedFile("birkhoff oracle runs over circle rotations")
     cert = birkhoff_certificate(system, F, E, fraction, _bp_cap(spec))
     rng = random.Random(args.seed)
-    starts = [rng.random() for _ in range(args.samples)]
+    starts = [rng.random() for _ in range(samples)]
     best = float_birkhoff_min(system, cert.g, cert.N0, starts)
     sigma = float(cert.sigma)
     print("sigma %s" % cert.sigma)

@@ -335,15 +335,11 @@ def _matched_levels(tower, tables):
 
 def _column_bump(system, closed, opened, cover, indices):
     """Bump equal to 1 on the level minus the mid pullbacks, supported in
-    the open level minus the tighter pullbacks."""
-    plateau, interior = closed, opened
+    the open level."""
+    plateau = closed
     for j in indices:
-        d = cover.shifts[j]
-        plateau = plateau.minus(translate_region(system, cover.mids[j], -d))
-        interior = interior.minus(
-            translate_region(system, cover.tighter[j], -d).closure()
-        )
-    return bump(plateau, interior)
+        plateau = plateau.minus(translate_region(system, cover.mids[j], -cover.shifts[j]))
+    return bump(plateau, opened)
 
 
 def _search_depth(search_depth, n, room):

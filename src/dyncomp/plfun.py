@@ -148,14 +148,7 @@ class PLFunction:
 
     def range_bounds(self):
         """(min, max) over the whole circle; attained at breakpoints."""
-        vals = [v for _, v in self.breakpoints]
-        mn = mx = vals[0]
-        for v in vals[1:]:
-            if v < mn:
-                mn = v
-            if mx < v:
-                mx = v
-        return mn, mx
+        return global_extrema(self)[:2]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ the covered cells back into pieces, so unions, boundaries, interiors and
 containment are exact.
 
 Odometer regions are sets of level-n cylinder indices; torus regions are
-finite unions of boxes (products of arcs) supporting the operations the
-separation constructions need.
+finite unions of boxes, each a product of circle regions, one per factor
+rotation.
 """
 
 from __future__ import annotations
@@ -710,99 +710,43 @@ def level_locator(system, S):
 # ---------------------------------------------------------------------------
 # torus
 
-# An axis arc is a lifted tuple (lo, hi, lc, hc) with hi - lo in [0, 1];
-# hi - lo == 1 marks the full axis circle.
-
-
-def _arc_full(arc) -> bool:
-    return ((arc[1] - arc[0]) - 1).sign() == 0
-
-
-def _arc_pairs(arc):
-    """Linear representatives (lo, hi, lc, hc) with lo in [0,1)."""
-    lo, hi, lc, hc = arc
-    base = lo.frac()
-    return (base, base + (hi - lo), lc, hc)
-
-
-def _linear_overlap(a, b) -> bool:
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    s = (hi - lo).sign()
-    if s > 0:
-        return True
-    if s < 0:
-        return False
-
-    # the meet point must be covered by each arc, as interior or flagged end
-    def covers(arc):
-        l, h, cl, ch = arc
-        if l < lo < h:
-            return True
-        if lo == l:
-            return cl
-        return ch
-    return covers(a) and covers(b)
-
-
-def arc_intersects(a, b) -> bool:
-    if _arc_full(a) or _arc_full(b):
-        return True
-    a = _arc_pairs(a)
-    b = _arc_pairs(b)
-    for s in (-1, 0, 1):
-        shifted = (b[0] + s, b[1] + s, b[2], b[3])
-        if _linear_overlap(a, shifted):
-            return True
-    return False
-
-
-def arc_contains_point(arc, x) -> bool:
-    if _arc_full(arc):
-        return True
-    lo, hi, lc, hc = _arc_pairs(arc)
-    x = ExactScalar.coerce(x).frac()
-    for s in (0, 1):
-        xs = x + s
-        if (lo < xs < hi) or (xs == lo and lc) or (xs == hi and hc):
-            return True
-    return False
-
 
 class BoxRegion:
-    """Finite union of boxes (products of axis arcs) on a torus."""
+    """Finite union of boxes on a torus.  A box is a tuple of circle Regions,
+    one per factor rotation, so every per-axis question is answered by the
+    circle algebra."""
 
     __slots__ = ("system", "boxes")
 
     def __init__(self, system: TorusRotation, boxes):
-        canon = []
+        """Build from boxes given as one lifted arc (lo, hi, lo_closed,
+        hi_closed) per axis."""
+        axes = []
         for box in boxes:
             if len(box) != system.dim:
                 raise MixedAmbient("box dimension mismatch")
-            axes = []
-            empty = False
-            for lo, hi, lc, hc in box:
-                lo = ExactScalar.coerce(lo)
-                hi = ExactScalar.coerce(hi)
-                ln = hi - lo
-                if ln.sign() < 0 or (ln - 1).sign() > 0:
-                    raise ValueError("axis arc length must lie in [0, 1]")
-                if ln.sign() == 0 and not (lc and hc):
-                    empty = True
-                base = lo.frac()
-                axes.append((base, base + ln, lc, hc))
-            if not empty:
-                canon.append(tuple(axes))
-        canon.sort(key=lambda bx: tuple((a[0], a[1]) for a in bx))
+            axes.append(tuple(Region(f, [arc]) for f, arc in zip(system.factors, box)))
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "boxes", tuple(canon))
+        object.__setattr__(self, "boxes", BoxRegion._make(system, axes).boxes)
 
     def __setattr__(self, name, value):
         raise AttributeError("BoxRegion is immutable")
 
     @classmethod
+    def _make(cls, system, boxes):
+        """Boxes of axis Regions, with empty boxes dropped, deduplicated and
+        sorted by their axes' pieces."""
+        keep = {box for box in boxes if not any(r.is_empty for r in box)}
+        out = object.__new__(cls)
+        object.__setattr__(out, "system", system)
+        object.__setattr__(
+            out, "boxes", tuple(sorted(keep, key=lambda box: tuple(r.pieces for r in box)))
+        )
+        return out
+
+    @classmethod
     def empty(cls, system):
-        return cls(system, ())
+        return cls._make(system, ())
 
     @property
     def is_empty(self):
@@ -823,63 +767,55 @@ class BoxRegion:
 
     def union(self, other):
         _check_same_system(self, other)
-        return BoxRegion(self.system, self.boxes + other.boxes)
+        return BoxRegion._make(self.system, self.boxes + other.boxes)
+
+    def intersect(self, other) -> "BoxRegion":
+        """Per pair of boxes, the product of the axis intersections."""
+        _check_same_system(self, other)
+        return BoxRegion._make(
+            self.system,
+            [tuple(a.intersect(b) for a, b in zip(b1, b2))
+             for b1 in self.boxes for b2 in other.boxes],
+        )
 
     def translate(self, n: int):
-        out = []
-        for box in self.boxes:
-            axes = []
-            for (lo, hi, lc, hc), th in zip(box, self.system.thetas):
-                s = (n * th).frac()
-                axes.append((lo + s, hi + s, lc, hc))
-            out.append(tuple(axes))
-        return BoxRegion(self.system, out)
+        return BoxRegion._make(
+            self.system, [tuple(r.translate(n) for r in box) for box in self.boxes]
+        )
 
     def closure(self):
-        return BoxRegion(
-            self.system,
-            [tuple((lo, hi, True, True) if (hi - lo - 1).sign() != 0 else (lo, hi, lc, hc)
-                   for lo, hi, lc, hc in box)
-             for box in self.boxes],
+        return BoxRegion._make(
+            self.system, [tuple(r.closure() for r in box) for box in self.boxes]
         )
 
     def intersects(self, other) -> bool:
         _check_same_system(self, other)
-        for b1 in self.boxes:
-            for b2 in other.boxes:
-                if all(arc_intersects(a1, a2) for a1, a2 in zip(b1, b2)):
-                    return True
-        return False
+        return any(
+            all(a.intersects(b) for a, b in zip(b1, b2))
+            for b1 in self.boxes for b2 in other.boxes
+        )
 
     def contains_point(self, point) -> bool:
         return any(
-            all(arc_contains_point(a, x) for a, x in zip(box, point)) for box in self.boxes
+            all(r.contains_point(x) for r, x in zip(box, point)) for box in self.boxes
         )
 
     def boundary(self) -> BoundaryReport:
-        """Faces of each box: per axis, the two end slices crossed with the
-        closures of the other axes.  Full axes contribute no faces."""
-        faces = []
-        for box in self.boxes:
-            closed = tuple(
-                (lo, hi, True, True) if (hi - lo - 1).sign() != 0 else (lo, hi, lc, hc)
-                for lo, hi, lc, hc in box
-            )
-            for i, (lo, hi, lc, hc) in enumerate(box):
-                if (hi - lo - 1).sign() == 0:
-                    continue
-                for v in (lo, hi):
-                    face = list(closed)
-                    face[i] = (v.frac(), v.frac(), True, True)
-                    faces.append(tuple(face))
-        dedup = sorted(set(faces), key=lambda bx: tuple((a[0], a[1]) for a in bx))
-        return BoundaryReport(faces=tuple(dedup))
+        return BoundaryReport(faces=self.boundary_region().boxes)
 
     def boundary_region(self) -> "BoxRegion":
-        return BoxRegion(self.system, self.boundary().faces)
-
-    def _axis_region(self, box, axis) -> Region:
-        return Region(self.system.factors[axis], [box[axis]])
+        """Faces of each box: per axis, each boundary point of that axis
+        crossed with the closures of the other axes.  Full axes have no
+        boundary points and contribute no faces."""
+        faces = []
+        for box in self.boxes:
+            closed = tuple(r.closure() for r in box)
+            for i, r in enumerate(box):
+                for v in r.boundary_points():
+                    face = list(closed)
+                    face[i] = Region._make(r.system, ((v, v, True, True),))
+                    faces.append(tuple(face))
+        return BoxRegion._make(self.system, faces)
 
     def measure(self) -> ExactScalar:
         """Exact volume by inclusion-exclusion over boxes.
@@ -897,9 +833,9 @@ class BoxRegion:
             sel = [self.boxes[i] for i in range(n) if mask >> i & 1]
             vol = ONE
             for axis in range(self.system.dim):
-                reg = self._axis_region(sel[0], axis)
+                reg = sel[0][axis]
                 for box in sel[1:]:
-                    reg = reg.intersect(self._axis_region(box, axis))
+                    reg = reg.intersect(box[axis])
                 vol = vol * reg.measure()
                 if vol.sign() == 0:
                     break

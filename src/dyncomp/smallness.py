@@ -11,7 +11,7 @@ re-validates every artifact using region algebra alone.
 
 import bisect
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import (
     DuplicateInput,
@@ -663,48 +663,15 @@ def _tsbp_circle(system, F, K):
     )
 
 
-def _box_axis_arcs(factor, arc_a, arc_b):
-    r = Region(factor, [arc_a]).intersect(Region(factor, [arc_b]))
-    if r.is_empty:
-        return None
-    if r.is_full:
-        return [(ZERO, ONE, True, False)]
-    return [(a, b, lc, hc) for a, b, lc, hc in r.logical_arcs()]
-
-def _intersect_box_lists(system, boxes_a, boxes_b):
-    out = []
-    for ba in boxes_a:
-        for bb in boxes_b:
-            per_axis = []
-            dead = False
-            for ax in range(system.dim):
-                arcs = _box_axis_arcs(system.factors[ax], ba[ax], bb[ax])
-                if arcs is None:
-                    dead = True
-                    break
-                per_axis.append(arcs)
-            if not dead:
-                out.extend(tuple(combo) for combo in product(*per_axis))
-    return out
-
-
 def _tsbp_torus(system, F, K):
     if F.is_empty or K.is_empty:
         raise EmptyInput("torus separation needs two non-empty box unions")
+    caps = [(ONE - r.measure()) / 4 for box in F.boxes + K.boxes for r in box]
     margins = []
-    caps = []
-    for box in list(F.boxes) + list(K.boxes):
-        for ax in range(system.dim):
-            lo, hi, _, _ = box[ax]
-            caps.append((ONE - (hi - lo)) / 4)
     for bf in F.boxes:
         for bk in K.boxes:
             best = ZERO
-            for ax in range(system.dim):
-                ra = Region(system.factors[ax], [bf[ax]])
-                rb = Region(system.factors[ax], [bk[ax]])
-                if ra.intersects(rb):
-                    continue
+            for ra, rb in zip(bf, bk):
                 g = region_gap(ra, rb)
                 if best < g:
                     best = g
@@ -716,10 +683,9 @@ def _tsbp_torus(system, F, K):
         raise NotDisjoint("boxes leave no room to grow")
 
     def extend(R):
-        boxes = []
-        for box in R.boxes:
-            boxes.append(tuple((lo - m, hi + m, False, False) for lo, hi, _, _ in box))
-        return BoxRegion(system, boxes)
+        return BoxRegion._make(
+            system, [tuple(_extend_region(r.system, r, m) for r in box) for box in R.boxes]
+        )
 
     return extend(F), extend(K)
 
@@ -735,32 +701,21 @@ def _torus_boundary_cert(system, U, window: int = 4):
     re-checks that no larger family meets.
     """
     per_axis = []
-    for ax in range(system.dim):
-        grid = set()
-        for box in U.boxes:
-            lo, hi, _, _ = box[ax]
-            grid.add(lo.frac())
-            grid.add(hi.frac())
-        cert = smallness_constant(system.factors[ax], Region.points(system.factors[ax], grid))
-        per_axis.append(cert)
+    for ax, factor in enumerate(system.factors):
+        grid = {p for box in U.boxes for p in box[ax].boundary_points()}
+        per_axis.append(smallness_constant(factor, Region.points(factor, grid)))
     constant = union_smallness_bound(per_axis)
-    faces = U.boundary_region().boxes
-
-    def shifted(e):
-        return [tuple((lo + e * system.thetas[ax], hi + e * system.thetas[ax], lc, hc)
-                      for ax, (lo, hi, lc, hc) in enumerate(box))
-                for box in faces]
-
-    hits = [e for e in range(-window, window + 1)
-            if e and _intersect_box_lists(system, faces, shifted(e))]
+    faces = U.boundary_region()
+    moved = {e: faces.translate(e) for e in range(-window, window + 1)}
+    hits = [e for e in moved if e and faces.intersects(moved[e])]
     pool = [0] + hits
     for combo in combinations(pool, constant + 1):
-        current = shifted(combo[0])
+        current = moved[combo[0]]
         for e in combo[1:]:
-            current = _intersect_box_lists(system, current, shifted(e))
-            if not current:
+            current = current.intersect(moved[e])
+            if current.is_empty:
                 break
-        if current:
+        if not current.is_empty:
             raise RuntimeError("boundary smallness bound violated in-window")
     return SmallnessCertificate(constant, "proven", None, ())
 

@@ -392,6 +392,10 @@ def test_cli_rejects_nonpositive_integer_params(tmp_path, capsys, monkeypatch):
     spec = write(tmp_path, "b.spec", EMPTY_SOURCE_SPEC)
     assert cli.run(["smallness", "--spec", spec, "--region", "E", "--depth", "0"]) == 1
     assert "--depth must be a positive integer" in capsys.readouterr().err
+    assert cli.run(["oracle", "birkhoff", "--samples", "0"]) == 1
+    assert "--samples must be a positive integer" in capsys.readouterr().err
+    assert cli.run(["oracle", "clopen", "--K", "12", "--trials", "-1"]) == 1
+    assert "--trials must be a positive integer" in capsys.readouterr().err
     zero = write(tmp_path, "zero.spec", EMPTY_SOURCE_SPEC + "params\nbp-cap 0\nend\n")
     assert cli.run(["birkhoff", "--spec", zero]) == 1
     assert "bp-cap must be a positive integer" in capsys.readouterr().err

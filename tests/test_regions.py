@@ -290,6 +290,18 @@ def test_box_region():
     assert not b.intersects(disj) or b.intersects(disj)  # exact call works
 
 
+def test_box_open_full_length_axis_excludes_its_end():
+    # the open arc (0, 1) is the axis circle minus 0, not the whole circle
+    T = TorusRotation([ExactScalar(0, 1, 2, 2), ExactScalar(0, 1, 3, 3)])
+    half = (R(0), R(Fraction(1, 2)), True, True)
+    b = BoxRegion(T, [((R(0), R(1), False, False), half)])
+    assert not b.contains_point((R(0), R(Fraction(1, 4))))
+    assert b.contains_point((R(Fraction(1, 2)), R(Fraction(1, 4))))
+    wall = BoxRegion(T, [((R(0), R(0), True, True), half)])
+    assert not b.intersects(wall)
+    assert b.intersect(wall).is_empty
+
+
 def test_measure_dispatch_checks_ambient():
     h = golden()
     od = Odometer([2, 2])
@@ -568,3 +580,93 @@ def test_region_results_match_arc_membership(arc_lists):
     assert A.boundary_points() == tuple(
         R(x) for x in SAMPLES if any(near_a(x)) and not all(near_a(x))
     )
+
+
+# -- torus boxes against the per-arc tests they replaced
+
+
+def oracle_arc_pairs(arc):
+    """Linear representative (lo, hi, lc, hc) with lo in [0,1)."""
+    lo, hi, lc, hc = arc
+    base = lo.frac()
+    return (base, base + (hi - lo), lc, hc)
+
+
+def oracle_linear_overlap(a, b) -> bool:
+    lo = max(a[0], b[0])
+    hi = min(a[1], b[1])
+    s = (hi - lo).sign()
+    if s > 0:
+        return True
+    if s < 0:
+        return False
+
+    # the meet point must be covered by each arc, as interior or flagged end
+    def covers(arc):
+        l, h, cl, ch = arc
+        if l < lo < h:
+            return True
+        if lo == l:
+            return cl
+        return ch
+    return covers(a) and covers(b)
+
+
+def oracle_arc_intersects(a, b) -> bool:
+    """Lifted arcs of length below 1 meet, tried at three relative lifts."""
+    a = oracle_arc_pairs(a)
+    b = oracle_arc_pairs(b)
+    for s in (-1, 0, 1):
+        shifted = (b[0] + s, b[1] + s, b[2], b[3])
+        if oracle_linear_overlap(a, shifted):
+            return True
+    return False
+
+
+def oracle_arc_contains_point(arc, x) -> bool:
+    lo, hi, lc, hc = oracle_arc_pairs(arc)
+    x = ExactScalar.coerce(x).frac()
+    for s in (0, 1):
+        xs = x + s
+        if (lo < xs < hi) or (xs == lo and lc) or (xs == hi and hc):
+            return True
+    return False
+
+
+TORUS_AXES = (ExactScalar(0, 1, 2, 2), ExactScalar(0, 1, 3, 3), ExactScalar(0, 1, 5, 5))
+
+
+@st.composite
+def axis_arcs(draw):
+    """Closed points and arcs shorter than 1 with ends on the 1/16 grid,
+    some of them through 0."""
+    lo = Fraction(draw(st.integers(0, 15)), 16)
+    if draw(st.booleans()):
+        return (R(lo), R(lo), True, True)
+    hi = lo + Fraction(draw(st.integers(1, 15)), 16)
+    return (R(lo), R(hi), draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(-3, 3), st.data())
+def test_box_region_matches_arc_oracle(dim, n, data):
+    torus = TorusRotation(list(TORUS_AXES[:dim]))
+    box_lists = st.lists(st.tuples(*[axis_arcs()] * dim), min_size=1, max_size=2)
+    a, b = data.draw(box_lists), data.draw(box_lists)
+    # B is b moved by n steps; the oracle gets its arcs shifted by hand
+    shifts = [(n * th).frac() for th in torus.thetas]
+    moved = [tuple((lo + s, hi + s, lc, hc) for (lo, hi, lc, hc), s in zip(box, shifts))
+             for box in b]
+    A, B = BoxRegion(torus, a), BoxRegion(torus, b).translate(n)
+    assert B == BoxRegion(torus, moved)
+    meets = any(all(map(oracle_arc_intersects, ba, bb)) for ba in a for bb in moved)
+    assert A.intersects(B) == meets
+    both = A.intersect(B)
+    assert both.is_empty != meets
+    for _ in range(4):
+        p = tuple(R(Fraction(data.draw(st.integers(0, 31)), 32)) for _ in range(dim))
+        in_a = any(all(map(oracle_arc_contains_point, box, p)) for box in a)
+        in_b = any(all(map(oracle_arc_contains_point, box, p)) for box in moved)
+        assert A.contains_point(p) == in_a
+        assert B.contains_point(p) == in_b
+        assert both.contains_point(p) == (in_a and in_b)
