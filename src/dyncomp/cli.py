@@ -79,7 +79,8 @@ def _arc_text(region):
     if region.is_empty:
         return "{}"
     parts = []
-    for lo, hi, lc, hc in region.logical_arcs():
+    arcs = region.pieces if region.is_full else region.logical_arcs()
+    for lo, hi, lc, hc in arcs:
         parts.append(
             "%s%s, %s%s"
             % ("[" if lc else "(", lo, hi, "]" if hc else ")")
@@ -101,8 +102,8 @@ def _base_region(spec, args):
         return Region(system, [(lo, hi, True, True)])
     if getattr(args, "region", None):
         return spec.region(args.region)
-    if getattr(args, "levels", None):
-        return disjoint_base(system, args.levels)
+    if getattr(args, "levels", None) is not None:
+        return disjoint_base(system, positive_int(args.levels, "--levels"))
     raise MalformedFile("give the tower base via --base, --region or --levels")
 
 

@@ -9,14 +9,17 @@ g = g1 - g0 stay above a positive sigma), a Rokhlin tower refined so every
 level is committed to C, to a retracted copy of U, or to neither, and an
 order-preserving injection of C-levels into U-levels per column.  Level
 boundary points are mopped up by a leftover cover squeezed into U minus
-the retracted copy.
+the retracted copy; with S the cover's sum, each matched level's entry is
+1 - S on that level.
 
 Everything is exact.  Each construction checks its witness once with
 `verify_witness`, which re-checks the four clauses from scratch and reports
 failures instead of raising; the report rides along in the provenance.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .errors import (
     ColumnDeficit,
@@ -38,7 +41,6 @@ from .plfun import (
     difference,
     global_extrema,
     integral,
-    min_cascade,
     sum_extrema_on,
     sum_of,
     support_of,
@@ -46,12 +48,12 @@ from .plfun import (
 )
 from .regions import (
     CylinderRegion,
+    Region,
     level_locator,
     measure_gap,
     outer_approx,
     pairwise_disjoint,
     translate_region,
-    union_many,
     walk_levels,
 )
 from .scalars import HALF, ONE, ZERO, ExactScalar
@@ -314,32 +316,38 @@ def column_matching(source_counts, target_counts):
 # -- the circle pipeline
 
 
-def _matched_levels(tower, tables):
-    """For each table pair, the closed and open source level and the shift;
-    also the union list of matched open levels."""
-    per_match = []
-    opens = []
+def _source_levels(tower, tables):
+    """For each table pair in order, the lifted open source level (lo, hi)
+    and its shift.  A refined circle cell is one arc, so each walked level
+    is one lifted arc."""
+    out = []
     for table in tables:
-        cell = tower.columns[table.column][0]
-        closed = cell.closure()
-        opened = cell.interior()
-        at = 0
-        for s, t, d in table.pairs:
-            closed = translate_region(tower.system, closed, s - at)
-            opened = translate_region(tower.system, opened, s - at)
-            at = s
-            per_match.append((closed, opened, d))
-            opens.append(opened)
-    return per_match, opens
+        if not table.pairs:
+            continue
+        cell, _ = tower.columns[table.column]
+        levels = list(walk_levels(tower.system, cell.interior(), table.pairs[-1][0] + 1))
+        for s, _, d in table.pairs:
+            (arc,) = levels[s]
+            out.append((arc, d))
+    return out
 
 
-def _column_bump(system, closed, opened, cover, indices):
-    """Bump equal to 1 on the level minus the mid pullbacks, supported in
-    the open level."""
-    plateau = closed
-    for j in indices:
-        plateau = plateau.minus(translate_region(system, cover.mids[j], -cover.shifts[j]))
-    return bump(plateau, opened)
+def _level_entry(S, lo, hi):
+    """1 - S on the lifted closed level [lo, hi] and 0 elsewhere, where S is
+    the leftover cover's sum, which is 1 near both ends of the level.
+
+    Its canonical breakpoints are those of S strictly inside (lo, hi), with
+    value 1 - v; a level through 0 takes them from both sides of the seam.
+    """
+    bps = S.breakpoints
+    key = itemgetter(0)
+    if (hi - ONE).sign() <= 0:
+        inside = bps[bisect_right(bps, lo, key=key):bisect_left(bps, hi, key=key)]
+    else:
+        inside = bps[:bisect_left(bps, hi - ONE, key=key)] + bps[bisect_right(bps, lo, key=key):]
+    if not inside:
+        return PLFunction.constant(ZERO)
+    return PLFunction([(at, ONE - v) for at, v in inside])
 
 
 def _search_depth(search_depth, n, room):
@@ -378,39 +386,23 @@ def _attempt(system, C, U, U0, cert, margins, N_base, search_depth):
     parts = [p for p in (CC, U0.closure(), rest) if not p.interior().is_empty]
     refined = refine_tower(tower, parts)
 
-    counts_C = column_counts(refined, CC)
-    counts_U0 = column_counts(refined, U0)
-    full = [k for k in range(len(refined.columns)) if not refined.interior_empty(k)]
-    tables = column_matching(
-        [counts_C[k] for k in full], [counts_U0[k] for k in full]
-    )
-    tables = tuple(
-        replace(t, column=full[i]) for i, t in enumerate(tables)
-    )
-
-    per_match, matched_opens = _matched_levels(refined, tables)
-    leftover_region = CC.minus(union_many(system, matched_opens)) if matched_opens else CC
+    tables = column_matching(column_counts(refined, CC), column_counts(refined, U0))
+    levels = _source_levels(refined, tables)
+    matched = Region(system, [(lo, hi, False, False) for (lo, hi), _ in levels])
+    leftover_region = CC.minus(matched)
     if not leftover_region.interior().is_empty:
         raise _Retry("matched levels leave an arc of C uncovered")
     points = leftover_region.point_list()
 
     room = U.minus(U0.closure())
-    eps = min(cell.measure() for k, (cell, _) in enumerate(refined.columns)
-              if not refined.interior_empty(k)) * HALF
+    eps = min(cell.measure() for cell, _ in refined.columns) * HALF
     depth = _search_depth(search_depth, max(len(points), 1), margins.room)
     cover = leftover_cover(system, list(points), room, eps, depth)
-    index_of = {p: i for i, p in enumerate(points)}
 
-    gs = list(cover.functions)
-    shifts = list(cover.shifts)
-    for closed, opened, d in per_match:
-        lo, hi, _, _ = closed.logical_arcs()[0]
-        ends = {index_of[lo.frac()], index_of[hi.frac()]}
-        gs.append(_column_bump(system, closed, opened, cover, sorted(ends)))
-        shifts.append(d)
-    fs = min_cascade(system, gs)
-
-    entries = tuple(zip(fs, shifts))
+    S = sum_of(cover.functions)
+    entries = tuple(zip(cover.functions, cover.shifts)) + tuple(
+        (_level_entry(S, lo, hi), d) for (lo, hi), d in levels
+    )
     provenance = ComparisonProvenance(
         certificate=cert,
         tower=tuple((n, cell.measure()) for cell, n in refined.columns),

@@ -796,6 +796,8 @@ class BoxRegion:
         )
 
     def contains_point(self, point) -> bool:
+        if len(point) != self.system.dim:
+            raise MixedAmbient("point dimension mismatch")
         return any(
             all(r.contains_point(x) for r, x in zip(box, point)) for box in self.boxes
         )

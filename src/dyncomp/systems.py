@@ -107,6 +107,8 @@ class TorusRotation:
         return tuple((ExactScalar.coerce(x) + n * t).frac() for x, t in zip(point, self.thetas))
 
     def orbit_shift(self, p, q) -> int | None:
+        if len(p) != self.dim or len(q) != self.dim:
+            raise MixedAmbient("point dimension mismatch")
         ks = set()
         for f, a, b in zip(self.factors, p, q):
             k = f.orbit_shift(a, b)

@@ -104,9 +104,6 @@ class RokhlinTower:
     def heights(self):
         return tuple(n for _, n in self.columns)
 
-    def interior_empty(self, k: int) -> bool:
-        return self.columns[k][0].interior().is_empty
-
     def open_levels(self):
         """Yield (column index, level index, open level region)."""
         for k, (cell, n) in enumerate(self.columns):

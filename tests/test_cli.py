@@ -260,6 +260,14 @@ def test_cli_tower_golden(tmp_path, capsys):
     assert out.strip().endswith("kac 1/1")
 
 
+def test_cli_tower_full_circle_base(tmp_path, capsys):
+    spec = write(tmp_path, "y.spec", SMALL_SPEC + "region Y\npiece 0/1 1/1 closed closed\nend\n")
+    for base in (["--base", "0/1", "1/1"], ["--region", "Y"]):
+        assert cli.run(["tower", "--spec", spec] + base) == 0
+        out = capsys.readouterr().out
+        assert out == "column 0 height 1 measure 1/1 cell [0/1, 1/1)\nkac 1/1\n"
+
+
 def test_cli_refine(tmp_path, capsys):
     spec = write(tmp_path, "g.spec", SMALL_SPEC)
     code = cli.run(
@@ -396,6 +404,13 @@ def test_cli_rejects_nonpositive_integer_params(tmp_path, capsys, monkeypatch):
     assert "--samples must be a positive integer" in capsys.readouterr().err
     assert cli.run(["oracle", "clopen", "--K", "12", "--trials", "-1"]) == 1
     assert "--trials must be a positive integer" in capsys.readouterr().err
+    golden = write(tmp_path, "g.spec", SMALL_SPEC)
+    for argv in (
+        ["tower", "--spec", golden, "--levels", "0"],
+        ["refine", "--spec", golden, "--levels", "-1", "--parts", "C"],
+    ):
+        assert cli.run(argv) == 1
+        assert "--levels must be a positive integer" in capsys.readouterr().err
     zero = write(tmp_path, "zero.spec", EMPTY_SOURCE_SPEC + "params\nbp-cap 0\nend\n")
     assert cli.run(["birkhoff", "--spec", zero]) == 1
     assert "bp-cap must be a positive integer" in capsys.readouterr().err

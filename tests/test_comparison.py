@@ -13,24 +13,28 @@ from dyncomp.errors import (
     GapNonpositive,
     MixedAmbient,
     NotSeparated,
+    SearchExhausted,
     UnrefinedTower,
 )
 from dyncomp.scalars import ExactScalar, golden_theta, HALF, ONE, ZERO
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
-from dyncomp.regions import BoxRegion, CylinderRegion, Region
+from dyncomp.regions import BoxRegion, CylinderRegion, Region, translate_region, union_many
 from dyncomp.towers import RokhlinTower, build_tower, disjoint_base, refine_tower
 from dyncomp.plfun import (
     DEFAULT_BP_CAP,
     birkhoff_sum,
+    bump,
     check_bp_budget,
     difference,
     global_extrema,
     integral,
+    min_cascade,
     scale,
     sum_of,
     translate_fn,
 )
 from dyncomp import comparison as cp
+from dyncomp.smallness import leftover_cover
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -300,6 +304,106 @@ def test_dynamic_comparison_small_instance():
         assert len(table.targets) > len(table.sources)
         for s, t, d in table.pairs:
             assert d == t - s
+
+
+# -- the witness assembly before the closed form, kept as its oracle:
+# one region-algebra bump per matched level, cascaded once more after the
+# leftover cover's functions
+
+
+def oracle_matched_levels(tower, tables):
+    per_match = []
+    opens = []
+    for table in tables:
+        cell = tower.columns[table.column][0]
+        closed = cell.closure()
+        opened = cell.interior()
+        at = 0
+        for s, t, d in table.pairs:
+            closed = translate_region(tower.system, closed, s - at)
+            opened = translate_region(tower.system, opened, s - at)
+            at = s
+            per_match.append((closed, opened, d))
+            opens.append(opened)
+    return per_match, opens
+
+
+def oracle_column_bump(system, closed, opened, cover, indices):
+    plateau = closed
+    for j in indices:
+        plateau = plateau.minus(translate_region(system, cover.mids[j], -cover.shifts[j]))
+    return bump(plateau, opened)
+
+
+def oracle_attempt(system, C, U, U0, margins, N_base):
+    """Entries and matched closed levels as the two-cascade assembly built
+    them."""
+    CC = C.closure()
+    tower = build_tower(system, disjoint_base(system, N_base))
+    rest = CC.union(U0.closure()).complement().closure()
+    parts = [p for p in (CC, U0.closure(), rest) if not p.interior().is_empty]
+    refined = refine_tower(tower, parts)
+    counts_C = cp.column_counts(refined, CC)
+    counts_U0 = cp.column_counts(refined, U0)
+    full = [k for k, (cell, _) in enumerate(refined.columns) if not cell.interior().is_empty]
+    tables = cp.column_matching([counts_C[k] for k in full], [counts_U0[k] for k in full])
+    tables = tuple(dataclasses.replace(t, column=full[i]) for i, t in enumerate(tables))
+    per_match, matched_opens = oracle_matched_levels(refined, tables)
+    leftover_region = CC.minus(union_many(system, matched_opens)) if matched_opens else CC
+    if not leftover_region.interior().is_empty:
+        raise cp._Retry("matched levels leave an arc of C uncovered")
+    points = leftover_region.point_list()
+    room = U.minus(U0.closure())
+    eps = min(cell.measure() for cell, _ in refined.columns if not cell.interior().is_empty) * HALF
+    depth = cp._search_depth(None, max(len(points), 1), margins.room)
+    cover = leftover_cover(system, list(points), room, eps, depth)
+    index_of = {p: i for i, p in enumerate(points)}
+    gs = list(cover.functions)
+    shifts = list(cover.shifts)
+    for closed, opened, d in per_match:
+        lo, hi, _, _ = closed.logical_arcs()[0]
+        ends = {index_of[lo.frac()], index_of[hi.frac()]}
+        gs.append(oracle_column_bump(system, closed, opened, cover, sorted(ends)))
+        shifts.append(d)
+    fs = min_cascade(system, gs)
+    return tuple(zip(fs, shifts)), [closed for closed, _, _ in per_match]
+
+
+def oracle_comparison(system, C, U):
+    """dynamic_comparison's retry loop around the oracle assembly."""
+    C1, U0, _, margins = cp.simplify_inputs(system, C, U)
+    cert = cp.birkhoff_certificate(system, C1.closure(), U0, cp.QUARTER)
+    N_base = cert.N0
+    for _ in range(3):
+        try:
+            entries, closed_levels = oracle_attempt(system, C1, U, U0, margins, N_base)
+        except (cp._Retry, ColumnDeficit, SearchExhausted):
+            N_base *= 3
+            continue
+        witness = cp.ComparisonWitness(inputs=(C, U), entries=entries, provenance=None)
+        if cp.verify_witness(system, C, U, witness).ok:
+            return entries, closed_levels
+        N_base *= 3
+    raise AssertionError("the oracle found no witness")
+
+
+def golden_family(k):
+    """The golden spec's C = [0, 1/5] and U = (3/10, 3/5), rotated by k/40."""
+    shift = R(k, 40)
+    lo_C, lo_U = shift, (R(3, 10) + shift).frac()
+    return closed_arc(GOLDEN, lo_C, lo_C + R(1, 5)), open_arc(GOLDEN, lo_U, lo_U + R(3, 10))
+
+
+@pytest.mark.parametrize("k", [0, 7, 35])
+def test_level_entries_match_the_cascade_oracle(k):
+    C, U = golden_family(k)
+    if k == 35:
+        assert C == closed_arc(GOLDEN, R(7, 8), R(43, 40))
+        assert U == open_arc(GOLDEN, R(7, 40), R(19, 40))
+    entries, closed_levels = oracle_comparison(GOLDEN, C, U)
+    assert cp.dynamic_comparison(GOLDEN, C, U).entries == entries
+    through_zero = [L for L in closed_levels if (L.logical_arcs()[0][1] - ONE).sign() > 0]
+    assert bool(through_zero) == (k == 35)
 
 
 def test_dynamic_comparison_deterministic():

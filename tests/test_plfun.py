@@ -288,6 +288,7 @@ def test_min_cascade_matches_naive():
     for _ in range(5):
         gs = [rand_bump(rng, GOLDEN, q=128) for _ in range(6)]
         fast = min_cascade(GOLDEN, gs)
+        assert min_cascade(GOLDEN, fast) == fast
         running = PLFunction.constant(R(0))
         for j, g in enumerate(gs):
             fj = minimum(g, difference(one, running))

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyncomp.errors import NotNull
+from dyncomp.errors import MixedAmbient, NotNull
 from dyncomp.regions import (
     BoxRegion,
     CylinderRegion,
@@ -300,6 +300,18 @@ def test_box_open_full_length_axis_excludes_its_end():
     wall = BoxRegion(T, [((R(0), R(0), True, True), half)])
     assert not b.intersects(wall)
     assert b.intersect(wall).is_empty
+
+
+def test_box_contains_point_checks_dimension():
+    # zip would stop at the shorter tuple and test only the first axis
+    T = TorusRotation([ExactScalar(0, 1, 2, 2), ExactScalar(0, 1, 3, 3)])
+    half = (R(0), R(Fraction(1, 2)), True, True)
+    b = BoxRegion(T, [(half, half)])
+    q = R(Fraction(1, 4))
+    assert b.contains_point((q, q))
+    for point in ((q,), (q, q, q)):
+        with pytest.raises(MixedAmbient):
+            b.contains_point(point)
 
 
 def test_measure_dispatch_checks_ambient():

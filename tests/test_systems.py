@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyncomp.errors import MixedAmbient
 from dyncomp.scalars import HALF, ExactScalar, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation, min_orbit_gap, three_gap
 
@@ -108,6 +109,16 @@ def test_torus_requires_distinct_fields():
     q = T.apply(p, 5)
     assert T.orbit_shift(p, q) == 5
     assert T.orbit_shift(p, (ExactScalar(1, 0, 2), ExactScalar(0))) is None
+
+
+def test_torus_orbit_shift_checks_dimension():
+    # zip would stop at the shorter tuple and report shift 0
+    T = TorusRotation([ExactScalar(0, 1, 2, 2), ExactScalar(0, 1, 3, 3)])
+    q = ExactScalar(1, 0, 4)
+    third = ExactScalar(1, 0, 3)
+    for p, r in (((q,), (q, third)), ((q, third), (q,)), ((q, q, q), (q, q, q))):
+        with pytest.raises(MixedAmbient):
+            T.orbit_shift(p, r)
 
 
 def test_odometer_carry():
