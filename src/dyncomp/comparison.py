@@ -54,7 +54,6 @@ from .regions import (
     outer_approx,
     pairwise_disjoint,
     translate_region,
-    walk_levels,
 )
 from .scalars import HALF, ONE, ZERO, ExactScalar
 from .smallness import (
@@ -278,19 +277,28 @@ def column_counts(tower, S):
     A level that straddles S (meets both S and its complement) means the
     tower was not refined against S and raises UnrefinedTower.  Columns
     with empty interior have no open levels and yield empty tuples.
+
+    On a refined circle tower each level lies in one gap between the cut
+    points (`level_gaps`); when every gap lies in S or misses it, so does
+    each level in it, and no level is located on its own.
     """
     locate = level_locator(tower.system, S)
+    pts = tower.cuts.points if tower.cuts is not None else ()
+    if pts:
+        wrap = locate(((pts[-1], pts[0] + 1),))
+        sides = [wrap] + [locate(((a, b),)) for a, b in zip(pts, pts[1:])] + [wrap]
+        if None not in sides:
+            return tuple(tuple(j for j, g in enumerate(gaps) if sides[g])
+                         for gaps in tower.level_gaps)
     out = []
-    for cell, n in tower.columns:
+    for walk in tower.walks:
         hits = []
-        opened = cell.interior()
-        if not opened.is_empty:
-            for j, level in enumerate(walk_levels(tower.system, opened, n)):
-                where = locate(level)
-                if where is None:
-                    raise UnrefinedTower("open level straddles the test region")
-                if where:
-                    hits.append(j)
+        for j, level in enumerate(walk):
+            where = locate(level)
+            if where is None:
+                raise UnrefinedTower("open level straddles the test region")
+            if where:
+                hits.append(j)
         out.append(tuple(hits))
     return tuple(out)
 
@@ -322,12 +330,9 @@ def _source_levels(tower, tables):
     is one lifted arc."""
     out = []
     for table in tables:
-        if not table.pairs:
-            continue
-        cell, _ = tower.columns[table.column]
-        levels = list(walk_levels(tower.system, cell.interior(), table.pairs[-1][0] + 1))
+        walk = tower.walks[table.column]
         for s, _, d in table.pairs:
-            (arc,) = levels[s]
+            (arc,) = walk[s]
             out.append((arc, d))
     return out
 

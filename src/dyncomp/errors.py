@@ -57,10 +57,6 @@ class NotContained(DyncompError):
     """A region that must be contained in another is not."""
 
 
-class CoverFailure(DyncompError):
-    """Constructed pieces fail to cover their target."""
-
-
 class GapNonpositive(DyncompError):
     """A measure gap that must be positive is not."""
 

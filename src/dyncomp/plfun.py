@@ -18,14 +18,13 @@ from operator import itemgetter
 
 from .errors import (
     BreakpointBudget,
-    CoverFailure,
     EmptyInput,
     MixedAmbient,
     NoGap,
 )
 from .scalars import ExactScalar, ONE, ZERO
 from .systems import CircleRotation, Odometer
-from .regions import CylinderRegion, Region, union_many
+from .regions import CylinderRegion, Region
 
 
 def _collinear(p, q, r):
@@ -560,30 +559,6 @@ def min_cascade(system, gs):
             continue
         s = fs[nbrs[0]] if len(nbrs) == 1 else sum_of([fs[i] for i in nbrs])
         fs.append(minimum(gs[j], difference(one, s)))
-    return fs
-
-
-def partition_of_unity(pairs, C):
-    """Bumps for the pairs (F_j, W_j), cascaded so they sum to exactly 1
-    on C.
-
-    Requires C inside the union of the F_j; each output vanishes outside
-    its W_j and the exact sum is verified to be constant 1 on C.
-    """
-    pairs = list(pairs)
-    system = C.system
-    if pairs:
-        covered = union_many(system, [F for F, _ in pairs])
-        if not covered.contains_region(C):
-            raise CoverFailure("target region is not covered by the closed sets")
-    elif not C.is_empty:
-        raise CoverFailure("no pairs given but the target region is nonempty")
-    gs = [bump(F, W) for F, W in pairs]
-    fs = min_cascade(system, gs)
-    if not C.is_empty:
-        mn, mx = sum_extrema_on(fs, C)
-        if mn != ONE or mx != ONE:
-            raise CoverFailure("cascade sum is not constant 1 on the target")
     return fs
 
 

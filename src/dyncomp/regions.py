@@ -820,30 +820,39 @@ class BoxRegion:
         return BoxRegion._make(self.system, faces)
 
     def measure(self) -> ExactScalar:
-        """Exact volume by inclusion-exclusion over boxes.
+        """Exact volume of the union of the boxes (`_union_volume`)."""
+        return _union_volume(self.boxes)
 
-        Per-axis lengths stay inside that axis's quadratic field; the final
-        product is exact whenever at most one factor per term is irrational
-        (always the case for boxes with rational side lengths, translates
-        included) and raises otherwise.
-        """
-        n = len(self.boxes)
-        if n == 0:
-            return ZERO
-        total = ZERO
-        for mask in range(1, 1 << n):
-            sel = [self.boxes[i] for i in range(n) if mask >> i & 1]
-            vol = ONE
-            for axis in range(self.system.dim):
-                reg = sel[0][axis]
-                for box in sel[1:]:
-                    reg = reg.intersect(box[axis])
-                vol = vol * reg.measure()
-                if vol.sign() == 0:
-                    break
-            if vol.sign() != 0:
-                total = total + (vol if bin(mask).count("1") % 2 else -vol)
-        return total
+
+def _union_volume(boxes):
+    """Volume of a union of boxes of axis Regions, by one sweep of the
+    first axis: each open cell between its critical points adds its length
+    times the volume, over the other axes, of the boxes covering it.
+
+    Per-axis lengths stay inside that axis's quadratic field.  Cells of
+    equal volume over the other axes pool their lengths before the one
+    product, and the products are summed per field first, so irrational
+    parts that cancel never meet another field.  A product of two
+    irrational factors from different fields raises, as does a volume
+    irrational in two fields.
+    """
+    if boxes and not boxes[0]:
+        return ONE  # no axis left: the empty product
+    firsts = [box[0].pieces for box in boxes]
+    pts, cells = _critical_points(firsts)
+    m = len(pts)
+    covers = [_coverage(m, pieces, c)[0] for pieces, c in zip(firsts, cells)]
+    lengths = {}  # volume over the other axes -> length of its cells
+    for i, (lo, hi) in enumerate(zip(pts, pts[1:] + [ONE])):
+        rest = [box[1:] for box, icov in zip(boxes, covers) if icov[i]]
+        if rest:
+            vol = _union_volume(rest)
+            lengths[vol] = lengths.get(vol, ZERO) + (hi - lo)
+    per_field = {}
+    for vol, length in lengths.items():
+        term = length * vol
+        per_field[term.D] = per_field.get(term.D, ZERO) + term
+    return sum(per_field.values(), ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ disjoint interiors and their closures tile the space.  Everything is
 verified exactly at construction time.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     EmptyInput,
@@ -100,6 +101,29 @@ class RokhlinTower:
     system: object
     base: object
     columns: tuple  # ((closed cell, height), ...) sorted by (height, leftmost)
+    # the ArcLocator of the partition a circle tower was refined against;
+    # derived data, so it takes no part in equality or repr
+    cuts: object = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def walks(self):
+        """Per column, the tuple of its open levels as `walk_levels` yields
+        them, walked once per tower; a cell with empty interior has none."""
+        out = []
+        for cell, n in self.columns:
+            opened = cell.interior()
+            out.append(() if opened.is_empty else tuple(walk_levels(self.system, opened, n)))
+        return tuple(out)
+
+    @cached_property
+    def level_gaps(self):
+        """Per column, the gap of `cuts` holding each of its one-arc levels:
+        the refinement's check, which raises if a level holds a cut point."""
+        gaps = tuple(tuple(self.cuts.gap(lo, hi) for ((lo, hi),) in walk)
+                     for walk in self.walks)
+        if any(None in column for column in gaps):
+            raise RuntimeError("refined level straddles a partition boundary")
+        return gaps
 
     def heights(self):
         return tuple(n for _, n in self.columns)
@@ -131,8 +155,7 @@ class RokhlinTower:
         disjoint levels of total measure 1 hold every cylinder.
         """
         sys = self.system
-        levels = [level for cell, n in self.columns
-                  for level in walk_levels(sys, cell.interior(), n)]
+        levels = [level for walk in self.walks for level in walk]
         if not levels_disjoint(sys, levels):
             raise RuntimeError("tower invariant failed: open levels overlap")
         if union_many(sys, [cell for cell, _ in self.columns]) != self.base:
@@ -210,11 +233,12 @@ def _refine_circle(tower, parts):
     system = tower.system
     points = ArcLocator(_boundary_points(parts))
     cols = []
-    for cell, n in tower.columns:
-        levels = walk_levels(system, cell.interior(), n)
-        base = next(levels)
+    for walk, (_, n) in zip(tower.walks, tower.columns):
+        if not walk:
+            continue
+        base = walk[0]
         cuts = [set(points.inside(a, b)) for a, b in base]
-        for level in levels:
+        for level in walk[1:]:
             for (a, _), (lo, hi), found in zip(base, level, cuts):
                 found.update(a + (x - lo) for x in points.inside(lo, hi))
         for (a, b), found in zip(base, cuts):
@@ -222,21 +246,10 @@ def _refine_circle(tower, parts):
             for lo, hi in zip(stops, stops[1:]):
                 cols.append((Region(system, [(lo, hi, True, True)]), n))
     cols.sort(key=lambda cn: (cn[1], cn[0].pieces[0][0]))
-    refined = RokhlinTower(system, tower.base, tuple(cols))
+    refined = RokhlinTower(system, tower.base, tuple(cols), cuts=points)
     _check_kac(refined)
-    _check_levels_classified(refined, points)
+    refined.level_gaps  # no partition boundary point inside any open level
     return refined
-
-
-def _check_levels_classified(tower, points):
-    """No partition boundary point may sit strictly inside any open level."""
-    if not points.points:
-        return
-    for cell, n in tower.columns:
-        for level in walk_levels(tower.system, cell.interior(), n):
-            for lo, hi in level:
-                if points.gap(lo, hi) is None:
-                    raise RuntimeError("refined level straddles a partition boundary")
 
 
 def _refine_odometer(tower, parts):

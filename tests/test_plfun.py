@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyncomp.errors import BreakpointBudget, CoverFailure, EmptyInput, NoGap
+from dyncomp.errors import BreakpointBudget, EmptyInput, NoGap
 from dyncomp.plfun import (
     CylinderFunction,
     PLFunction,
@@ -17,7 +17,6 @@ from dyncomp.plfun import (
     min_cascade,
     maximum,
     minimum,
-    partition_of_unity,
     scale,
     support_of,
     support_report,
@@ -236,50 +235,6 @@ def test_integral():
             GOLDEN, f
         ) + integral(GOLDEN, g)
         assert integral(GOLDEN, translate_fn(GOLDEN, f, 5)) == integral(GOLDEN, f)
-
-
-def test_partition_single_pair():
-    F = closed(GOLDEN, R(1, 4), R(1, 2))
-    W = open_arc(GOLDEN, R(1, 8), R(5, 8))
-    fs = partition_of_unity([(F, W)], F)
-    assert fs == [bump(F, W)]
-    assert extrema_on(fs[0], F) == (R(1), R(1))
-
-
-def test_partition_cascade():
-    C = closed(GOLDEN, R(0), R(1, 2))
-    pairs = [
-        (Region(GOLDEN, [(R(7, 8), R(9, 8), True, True)]), Region(GOLDEN, [(R(13, 16), R(19, 16), False, False)])),
-        (closed(GOLDEN, R(1, 16), R(5, 16)), open_arc(GOLDEN, R(0), R(3, 8))),
-        (closed(GOLDEN, R(1, 4), R(9, 16)), open_arc(GOLDEN, R(3, 16), R(5, 8))),
-    ]
-    fs = partition_of_unity(pairs, C)
-    assert len(fs) == 3
-    gs = [bump(F, W) for F, W in pairs]
-    one = PLFunction.constant(R(1))
-    for j, (f, (F, W)) in enumerate(zip(fs, pairs)):
-        mn, mx = f.range_bounds()
-        assert R(0) <= mn and mx <= R(1)
-        assert W.contains_region(support_report(GOLDEN, f).support)
-        # prefix identity: sum of the cascade equals min(1, sum of the bumps)
-        lhs = sum_of(fs[: j + 1])
-        rhs = minimum(one, sum_of(gs[: j + 1]))
-        assert lhs == rhs
-    total = sum_of(fs)
-    assert extrema_on(total, C) == (R(1), R(1))
-
-
-def test_partition_failures_and_degenerate():
-    C = closed(GOLDEN, R(0), R(1, 2))
-    F = closed(GOLDEN, R(1, 4), R(3, 8))
-    W = open_arc(GOLDEN, R(1, 8), R(5, 8))
-    with pytest.raises(CoverFailure):
-        partition_of_unity([(F, W)], C)
-    with pytest.raises(CoverFailure):
-        partition_of_unity([], C)
-    assert partition_of_unity([], Region.empty(GOLDEN)) == []
-    fs = partition_of_unity([(F, W)], Region.empty(GOLDEN))
-    assert len(fs) == 1
 
 
 def test_min_cascade_matches_naive():

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,7 +14,7 @@ from dyncomp.errors import (
     UnrefinedTower,
 )
 from dyncomp.plfun import CylinderFunction
-from dyncomp.regions import CylinderRegion, Region
+from dyncomp.regions import ArcLocator, CylinderRegion, Region, level_locator, walk_levels
 from dyncomp.scalars import ONE, ZERO, ExactScalar, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.towers import (
@@ -438,6 +439,14 @@ def cut_loop_refine(tower, parts):
     return tuple(sorted(cols, key=lambda cn: (cn[1], cn[0].pieces[0][0])))
 
 
+def grid_parts(system, grid_cuts, m):
+    """The arcs between the cut points k/24, dealt round-robin to m parts."""
+    cuts = sorted(R(c, 24) for c in grid_cuts)
+    arcs = [(lo, hi) for lo, hi in zip(cuts, cuts[1:])] + [(cuts[-1], cuts[0] + 1)]
+    parts = [Region(system, [(lo, hi, True, True) for lo, hi in arcs[k::m]]) for k in range(m)]
+    return [p for p in parts if not p.is_empty]
+
+
 def region_scan_counts(tower, S):
     """column_counts from one translated Region per level."""
     out = []
@@ -493,13 +502,102 @@ def test_circle_towers_match_region_scans(Y, grid_cuts, m):
     tower = build_tower(system, Y)
     assert tower.columns == tuple(
         (cell.closure(), n) for cell, n in towers_mod._walk_return(system, Y, Y.interior()))
-    cuts = sorted(R(c, 24) for c in grid_cuts)
-    arcs = [(lo, hi) for lo, hi in zip(cuts, cuts[1:])] + [(cuts[-1], cuts[0] + 1)]
-    parts = [Region(system, [(lo, hi, True, True) for lo, hi in arcs[k::m]]) for k in range(m)]
-    parts = [p for p in parts if not p.is_empty]
+    parts = grid_parts(system, grid_cuts, m)
     refined = refine_tower(tower, parts)
     refined.verify()
     assert refined.columns == cut_loop_refine(tower, parts)
     for p in parts:
         assert cp.column_counts(refined, p) == region_scan_counts(refined, p)
         assert outcome(cp.column_counts, tower, p) == outcome(region_scan_counts, tower, p)
+
+
+# -- one walk per tower, and counts read off the refinement's gaps
+
+
+def locator_scan_counts(tower, S):
+    """column_counts by walking every column afresh and locating each
+    level against S's own boundary points."""
+    locate = level_locator(tower.system, S)
+    out = []
+    for cell, n in tower.columns:
+        hits = []
+        opened = cell.interior()
+        if not opened.is_empty:
+            for j, level in enumerate(walk_levels(tower.system, opened, n)):
+                where = locate(level)
+                if where is None:
+                    raise UnrefinedTower("open level straddles the test region")
+                if where:
+                    hits.append(j)
+        out.append(tuple(hits))
+    return tuple(out)
+
+
+cut_lists = st.lists(st.integers(0, 23), min_size=2, max_size=5, unique=True)
+
+
+@example(Region(GOLDEN, [(R(1, 8), R(1, 4), True, True), (R(1, 2), R(5, 8), True, True)]),
+         [3, 11, 17], 3, [0, 12], 7)
+@settings(max_examples=60, deadline=None)
+@given(circle_bases(max_arcs=2), cut_lists, st.integers(2, 3), cut_lists, st.integers(0, 47))
+def test_cached_walk_and_gap_counts_match_locator_scan(Y, grid_cuts, m, more_cuts, k):
+    system = Y.system
+    tower = build_tower(system, Y)
+    parts = grid_parts(system, grid_cuts, m)
+    refined = refine_tower(tower, parts)
+    more = grid_parts(system, more_cuts, 2)
+    again = refine_tower(refined, more)
+    again.verify()
+    for t in (tower, refined, again):
+        assert t.walks == tuple(
+            tuple(walk_levels(system, cell.interior(), n)) for cell, n in t.columns)
+    # every boundary point among the cuts: each part, its interior, a union
+    # of parts; not among them: an arc off the 1/24 grid, which straddles
+    # or not, and a refined cell, whose ends are level ends
+    off_grid = Region(system, [(R(2 * k + 1, 48), R(2 * k + 13, 48), True, False)])
+    regions = parts + [p.interior() for p in parts] + [parts[0].union(parts[-1])]
+    regions += [off_grid, refined.columns[0][0]]
+    for t in (tower, refined, again):
+        for S in regions + more:
+            assert outcome(cp.column_counts, t, S) == outcome(locator_scan_counts, t, S)
+
+
+def test_one_walk_per_tower(monkeypatch):
+    entered = []
+
+    def counted(system, opened, n):
+        entered.append(n)
+        return walk_levels(system, opened, n)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("dyncomp") and hasattr(mod, "walk_levels"):
+            monkeypatch.setattr(mod, "walk_levels", counted)
+    system = GOLDEN
+    parts = grid_parts(system, [0, 5, 9, 14, 20], 3)
+    assert len(parts) == 3
+    tower = build_tower(system, disjoint_base(system, 6))
+    refined = refine_tower(tower, parts)
+    counts = [cp.column_counts(refined, p) for p in parts]
+    assert len(entered) == len(tower.columns) + len(refined.columns)
+    assert sum(len(c) for per_part in counts for c in per_part) == sum(refined.heights())
+    # the cached walk and the refinement's cut points are no part of the
+    # tower's value
+    assert refine_tower(tower, parts) == refined
+    assert refined.cuts is not None and tower.cuts is None
+    assert repr(refined) == repr(RokhlinTower(system, refined.base, refined.columns))
+    assert "walks" not in repr(refined) and "cuts" not in repr(refined)
+
+
+def test_level_gaps_reject_a_straddle():
+    # 1/2 lies inside the height-1 level (1 - theta, theta) of the golden tower
+    tower = build_tower(GOLDEN, golden_base())
+    cut = RokhlinTower(GOLDEN, tower.base, tower.columns, cuts=ArcLocator([R(1, 2)]))
+    with pytest.raises(RuntimeError, match="straddles a partition boundary"):
+        cut.level_gaps
+
+
+def test_empty_interior_column_has_no_levels():
+    point = Region.points(GOLDEN, [R(1, 2)])
+    tower = RokhlinTower(GOLDEN, point, ((point, 2),))
+    assert tower.walks == ((),)
+    assert cp.column_counts(tower, Region.interval(GOLDEN, R(1, 4), R(3, 4))) == ((),)
