@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .errors import MalformedFile
 from .plfun import CylinderFunction, PLFunction
-from .scalars import ExactScalar, ZERO
-from .specfile import region_hash, scalar_tokens, system_echo, parse_system_echo
+from .scalars import ZERO
+from .specfile import exact_scalar, region_hash, scalar_tokens, system_echo, parse_system_echo
 from .systems import Odometer
 
 try:
@@ -153,14 +153,14 @@ def parse_certfile(text) -> CertificateFile:
             if shift is None or vals is not None:
                 raise MalformedFile("bp line outside a circle entry")
             xa, xb, xc, va, vb, vc = _ints(row[1:], 6, "bp")
-            bps.append((ExactScalar(xa, xb, xc, D), ExactScalar(va, vb, vc, D)))
+            bps.append((exact_scalar(xa, xb, xc, D), exact_scalar(va, vb, vc, D)))
         elif row[0] == "val":
             if vals is None:
                 raise MalformedFile("val line outside an odometer entry")
             i, a, b, c = _ints(row[1:], 4, "val")
             if not 0 <= i < system.resolution:
                 raise MalformedFile("val index %d out of range" % i)
-            vals.append((i, ExactScalar(a, b, c, D)))
+            vals.append((i, exact_scalar(a, b, c, D)))
         else:
             raise MalformedFile("unknown certificate line %r" % row[0])
         at += 1

@@ -342,17 +342,20 @@ def _level_entry(S, lo, hi):
     the leftover cover's sum, which is 1 near both ends of the level.
 
     Its canonical breakpoints are those of S strictly inside (lo, hi), with
-    value 1 - v; a level through 0 takes them from both sides of the seam.
+    value 1 - v and S's jump negated; a level through 0 takes them from
+    both sides of the seam.
     """
-    bps = S.breakpoints
+    bps, jumps = S.breakpoints, S.jumps
     key = itemgetter(0)
     if (hi - ONE).sign() <= 0:
-        inside = bps[bisect_right(bps, lo, key=key):bisect_left(bps, hi, key=key)]
+        k, m = bisect_right(bps, lo, key=key), bisect_left(bps, hi, key=key)
+        inside, kinks = bps[k:m], jumps[k:m]
     else:
-        inside = bps[:bisect_left(bps, hi - ONE, key=key)] + bps[bisect_right(bps, lo, key=key):]
+        k, m = bisect_left(bps, hi - ONE, key=key), bisect_right(bps, lo, key=key)
+        inside, kinks = bps[:k] + bps[m:], jumps[:k] + jumps[m:]
     if not inside:
         return PLFunction.constant(ZERO)
-    return PLFunction([(at, ONE - v) for at, v in inside])
+    return PLFunction._canonical([(at, ONE - v) for at, v in inside], [-j for j in kinks])
 
 
 def _search_depth(search_depth, n, room):
@@ -542,7 +545,9 @@ def verify_witness(system, C, U, witness) -> VerificationReport:
     part_ok = True
     CC = C.closure()
     if not CC.is_empty:
-        mn, mx = sum_extrema_on([f for f, _ in witness.entries], CC)
+        fns = [f for f, _ in witness.entries]
+        # the sum of no functions is 0
+        mn, mx = sum_extrema_on(fns, CC) if fns else (ZERO, ZERO)
         if mn != ONE or mx != ONE:
             part_ok = False
             failures.append("sum over the closed set spans [%s, %s]" % (mn, mx))

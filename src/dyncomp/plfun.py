@@ -66,7 +66,7 @@ class PLFunction:
     have identical breakpoint tuples; constants normalize to ((0, c),).
     """
 
-    __slots__ = ("breakpoints", "_xs", "_sl")
+    __slots__ = ("breakpoints", "_xs", "_jp")
 
     def __init__(self, breakpoints):
         pts = [(ExactScalar.coerce(x), ExactScalar.coerce(v)) for x, v in breakpoints]
@@ -81,20 +81,20 @@ class PLFunction:
         pts = _prune(pts)
         object.__setattr__(self, "breakpoints", tuple(pts))
         object.__setattr__(self, "_xs", tuple(p[0] for p in pts))
-        object.__setattr__(self, "_sl", None)
+        object.__setattr__(self, "_jp", None)
 
     @classmethod
-    def _canonical(cls, pts, slopes=None) -> "PLFunction":
+    def _canonical(cls, pts, jumps=None) -> "PLFunction":
         """A PLFunction from breakpoints that are canonical by construction:
         exact, abscissae strictly increasing in [0, 1), the slope changing
         at every one of them (or the single point (0, c)).  Skips the
         sort, the duplicate check and the pruning of the public
         constructor; anything parsed or hand-built goes through that.
-        slopes, when given, are the segment slopes _slopes would compute."""
+        jumps, when given, are what the `jumps` property would compute."""
         f = object.__new__(cls)
         object.__setattr__(f, "breakpoints", tuple(pts))
         object.__setattr__(f, "_xs", tuple(p[0] for p in pts))
-        object.__setattr__(f, "_sl", slopes)
+        object.__setattr__(f, "_jp", jumps)
         return f
 
     def __setattr__(self, name, value):
@@ -102,7 +102,7 @@ class PLFunction:
 
     @classmethod
     def constant(cls, v) -> "PLFunction":
-        return cls([(ZERO, v)])
+        return cls._canonical([(ZERO, ExactScalar.coerce(v))], [ZERO])
 
     def __eq__(self, other):
         if not isinstance(other, PLFunction):
@@ -126,9 +126,17 @@ class PLFunction:
             xb, vb = bps[0][0] + ONE, bps[0][1]
         return xa, va, xb, vb
 
-    def _slope(self, i):
-        xa, va, xb, vb = self._segment(i)
-        return (vb - va) / (xb - xa)
+    @property
+    def jumps(self):
+        """The slope jump at each breakpoint (zero only for a constant);
+        canonical constructions carry them, otherwise they are computed
+        from the breakpoints once and kept."""
+        if self._jp is None:
+            bps = self.breakpoints
+            ends = bps[1:] + ((bps[0][0] + ONE, bps[0][1]),)
+            s = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, ends)]
+            object.__setattr__(self, "_jp", [b - a for a, b in zip(s[-1:] + s, s)])
+        return self._jp
 
     def evaluate(self, x) -> ExactScalar:
         x = ExactScalar.coerce(x).frac()
@@ -167,13 +175,24 @@ def support_of(system, f):
     if len(bps) == 1:
         return Region.empty(system) if bps[0][1].sign() == 0 else Region.full(system)
     # f is linear on each segment, so it vanishes at no more than one point
-    # of a segment with a nonzero end: the closure holds the whole segment
-    arcs = []
-    for i in range(len(bps)):
-        xa, va, xb, vb = f._segment(i)
-        if va.sign() != 0 or vb.sign() != 0:
-            arcs.append((xa, xb, True, True))
-    return Region(system, arcs)
+    # of a segment with a nonzero end: the closure holds the whole segment.
+    # Each run of such segments is one closed piece; zero segments have
+    # positive length, so the pieces come out separated and in order.
+    nonzero = [v.sign() != 0 for _, v in bps]
+    held = [a or b for a, b in zip(nonzero, nonzero[1:] + nonzero[:1])]
+    if all(held):
+        return Region.full(system)
+    pieces, lo = [], None
+    for (x, _), h in zip(bps, held):
+        if h and lo is None:
+            lo = x
+        elif not h and lo is not None:
+            pieces.append((lo, x, True, True))
+            lo = None
+    if lo is not None:  # the last run passes 1: cut it at 0
+        first = pieces.pop(0)[1] if held[0] else bps[0][0]
+        pieces = [(ZERO, first, True, True)] + pieces + [(lo, ONE, True, False)]
+    return Region._make(system, tuple(pieces))
 
 
 def support_report(system, f) -> SupportReport:
@@ -207,9 +226,12 @@ def support_report(system, f) -> SupportReport:
 
 
 def scale(f, c) -> PLFunction:
-    """c * f, exactly."""
+    """c * f, exactly; a nonzero c keeps every kink, so nothing is pruned."""
     c = ExactScalar.coerce(c)
-    return PLFunction([(x, v * c) for x, v in f.breakpoints])
+    if not c:
+        return PLFunction.constant(ZERO)
+    return PLFunction._canonical([(x, v * c) for x, v in f.breakpoints],
+                                 [j * c for j in f.jumps])
 
 
 def difference(f, g) -> PLFunction:
@@ -217,94 +239,95 @@ def difference(f, g) -> PLFunction:
     return sum_of([f, scale(g, -1)])
 
 
-def _slopes(f):
-    """Slope of every segment of f, the last one wrapping 1 -> 0.
-
-    Results of sum_of and translate_fn carry their slopes; otherwise they
-    are computed from the breakpoints once and kept on f.
-    """
-    if f._sl is not None:
-        return f._sl
-    bps = f.breakpoints
-    out = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, bps[1:])]
-    (xa, va), (xb, vb) = bps[-1], bps[0]
-    out.append((vb - va) / (xb + ONE - xa))
-    object.__setattr__(f, "_sl", out)
-    return out
+def _wrap_slope(f):
+    """Slope of f's segment that wraps 1 -> 0 (0 for a constant)."""
+    (xa, va), (xb, vb) = f.breakpoints[-1], f.breakpoints[0]
+    return (vb - va) / (xb + ONE - xa)
 
 
 def _merged(fns):
     """The distinct abscissae of fns in increasing order, each paired with
     the (function index, breakpoint index) pairs that sit on it.
 
-    Every _xs is sorted already, so this is one k-way merge, not a sort.
+    One sort of all the abscissae, tagged with their owners; the functions
+    go in in order of their first abscissa, so the list is made of sorted
+    runs that the sort only has to merge.
     """
-    streams = [zip(f._xs, repeat(fi), range(len(f._xs))) for fi, f in enumerate(fns)]
-    at, owners = None, []
-    for x, fi, i in heapq.merge(*streams, key=itemgetter(0)):
-        if owners and x == at:
-            owners.append((fi, i))
-            continue
-        if owners:
+    tagged = []
+    for fi in sorted(range(len(fns)), key=lambda fi: fns[fi]._xs[0]):
+        xs = fns[fi]._xs
+        tagged += zip(xs, repeat(fi), range(len(xs)))
+    tagged.sort(key=itemgetter(0))
+    owners = []
+    for x, fi, i in tagged:
+        if owners and x != at:
             yield at, owners
-        at, owners = x, [(fi, i)]
-    yield at, owners
+            owners = []
+        at = x
+        owners.append((fi, i))
+    if owners:
+        yield at, owners
 
 
 def sum_of(fns) -> PLFunction:
     """Exact sum of many PL functions by one sweep over their merged
     breakpoints.
 
-    The total slope changes only at the inputs' breakpoints, so the sum's
-    canonical breakpoints are the merged abscissae where it does change;
-    the sweep starts on the segment that wraps into the first abscissa, so
-    that one is tested like any other.  No slope change at all means a
-    constant.
+    The total slope changes only at the inputs' breakpoints, by the sum of
+    their jumps there, so the sum's canonical breakpoints are the merged
+    abscissae where that sum is not zero.  A breakpoint with one owner
+    keeps the owner's jump as it is: it is never zero, because constants,
+    whose one jump is zero, only add to the value and are not merged.
+    The sweep starts on the segment that wraps into the first abscissa.
     """
     fns = list(fns)
     if not fns:
         raise EmptyInput("sum of no functions")
     if len(fns) == 1:
         return fns[0]
-    x0 = min(f._xs[0] for f in fns)
-    slopes = [_slopes(f) for f in fns]
-    value = ZERO
+    value = sum((f.breakpoints[0][1] for f in fns if len(f._xs) == 1), ZERO)
+    kinked = [f for f in fns if len(f._xs) > 1]
+    x0 = min((f._xs[0] for f in kinked), default=ZERO)
+    jumps = [f.jumps for f in kinked]
     slope = ZERO
-    for f, s in zip(fns, slopes):
-        value = value + f.evaluate(x0)
-        slope = slope + s[-1]
+    for f in kinked:
+        s = _wrap_slope(f)
+        slope = slope + s
+        (xa, va), (xb, vb) = f.breakpoints[-1], f.breakpoints[0]
+        value = value + (vb if xb == x0 else va + s * (x0 + ONE - xa))
     out = []
     kept = []
     at = x0
-    for x, owners in _merged(fns):
-        new = slope
-        for fi, i in owners:
-            s = slopes[fi]
-            new = new + (s[i] - s[i - 1])
-        if new != slope:
-            value = value + slope * (x - at)
-            at = x
-            out.append((x, value))
-            kept.append(new)
-            slope = new
+    for x, owners in _merged(kinked):
+        fi, i = owners[0]
+        jump = jumps[fi][i]
+        if len(owners) > 1:
+            for fi, i in owners[1:]:
+                jump = jump + jumps[fi][i]
+            if not jump:
+                continue
+        value = value + slope * (x - at)
+        at = x
+        out.append((x, value))
+        kept.append(jump)
+        slope = slope + jump
     if not out:
-        return PLFunction._canonical([(ZERO, value)], [ZERO])
+        return PLFunction.constant(value)
     return PLFunction._canonical(out, kept)
 
 
 def _walk(f, fi, merged):
     """f at every merged abscissa, walking along f's segments once."""
-    bps = f.breakpoints
-    slopes = _slopes(f)
+    bps, jumps = f.breakpoints, f.jumps
     xa, va = bps[-1]
     xa = xa - ONE
-    slope = slopes[-1]
+    slope = _wrap_slope(f)
     out = []
     for x, owners in merged:
         for gi, i in owners:
             if gi == fi:
                 xa, va = bps[i]
-                slope = slopes[i]
+                slope = slope + jumps[i]
                 out.append(va)
                 break
         else:
@@ -352,10 +375,10 @@ def translate_fn(system, f, n: int):
     shift = (system.theta * ExactScalar.rational(n)).frac()
     k = bisect.bisect_left(f._xs, ONE - shift)
     back = shift - ONE
-    sl = f._sl
+    jp = f.jumps
     return PLFunction._canonical(
         [(x + back, v) for x, v in bps[k:]] + [(x + shift, v) for x, v in bps[:k]],
-        None if sl is None else sl[k:] + sl[:k],
+        jp[k:] + jp[:k],
     )
 
 
@@ -509,16 +532,16 @@ def bump(F, W) -> PLFunction:
     return PLFunction(pts)
 
 
-def _support_pieces(system, gs):
-    out = []
-    sups = []
-    for i, g in enumerate(gs):
-        sup = support_of(system, g)
-        sups.append(sup)
-        for lo, hi, _, _ in sup.pieces:
-            out.append((lo, hi, i))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out, sups
+def trapezoid(x, w) -> PLFunction:
+    """bump([x - w/2, x + w/2], (x - w, x + w)) in closed form, for
+    0 < w <= 1/2: 0 at x -/+ 3w/4 and 1 from x - w/2 to x + w/2.  The
+    corners are in circular order, so they start at the least one."""
+    q = w / 4
+    r = ONE / q  # the ramps' slope
+    pts = [((x + k * q).frac(), v) for k, v in ((-3, ZERO), (-2, ONE), (2, ONE), (3, ZERO))]
+    jumps = [r, -r, -r, r]
+    k = min(range(4), key=lambda i: pts[i][0])
+    return PLFunction._canonical(pts[k:] + pts[:k], jumps[k:] + jumps[:k])
 
 
 def min_cascade(system, gs):
@@ -530,9 +553,9 @@ def min_cascade(system, gs):
     """
     gs = list(gs)
     n = len(gs)
-    if n == 0:
-        return []
-    pieces, _ = _support_pieces(system, gs)
+    pieces = sorted(((lo, hi, j) for j, g in enumerate(gs)
+                     for lo, hi, _, _ in support_of(system, g).pieces),
+                    key=lambda t: (t[0], t[1]))
     adj = [set() for _ in range(n)]
     active = []
     for lo, hi, owner in pieces:
@@ -550,7 +573,6 @@ def min_cascade(system, gs):
             if o1 != o2:
                 adj[o1].add(o2)
                 adj[o2].add(o1)
-    one = PLFunction.constant(ONE)
     fs = []
     for j in range(n):
         nbrs = sorted(i for i in adj[j] if i < j)
@@ -558,7 +580,10 @@ def min_cascade(system, gs):
             fs.append(gs[j])
             continue
         s = fs[nbrs[0]] if len(nbrs) == 1 else sum_of([fs[i] for i in nbrs])
-        fs.append(minimum(gs[j], difference(one, s)))
+        # 1 - s keeps the kinks of s, negated
+        rest = PLFunction._canonical([(x, ONE - v) for x, v in s.breakpoints],
+                                     [-j for j in s.jumps])
+        fs.append(minimum(gs[j], rest))
     return fs
 
 

@@ -223,7 +223,10 @@ class Region:
 
     @classmethod
     def interval(cls, system, lo, hi, lo_closed=True, hi_closed=True) -> "Region":
-        return cls(system, [(lo, hi, lo_closed, hi_closed)])
+        """The one lifted arc (lo, hi), cut at the seam: its pieces are
+        canonical once the part past 1 is moved to the front, so no sweep."""
+        pieces = _split_lifted(ExactScalar.coerce(lo), ExactScalar.coerce(hi), lo_closed, hi_closed)
+        return cls._make(system, tuple(sorted(pieces, key=itemgetter(0))))
 
     @classmethod
     def points(cls, system, xs) -> "Region":

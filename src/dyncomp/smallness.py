@@ -36,7 +36,7 @@ from .regions import (
     translate_region,
     union_many,
 )
-from .plfun import bump, extrema_on, min_cascade, sum_of, support_of
+from .plfun import extrema_on, min_cascade, sum_of, support_of, trapezoid
 
 DEFAULT_DEPTH = 10**4
 
@@ -504,12 +504,14 @@ def leftover_cover(system, F, U, eps, search_depth: int = DEFAULT_DEPTH) -> Left
     partition that is exactly 1 on the pulled-back mid sets.
 
     Around each target t_j (found as in thin_cover) sit W_j > V_j > T_j,
-    radii halving, with W_j pairwise disjoint and total mass under eps;
-    F_j is the pullback of the quarter-radius arc, the bump of each pair
-    (pullback of closure(V_j), pullback of W_j) enters a min-cascade so
-    the sum is exactly 1 on the union of the pulled-back closure(V_j).
-    The cover is not self-checked: callers run verify_leftover_cover, or
-    verify_witness on the witness the cover ends up in.
+    radii w, w/2, w/4, with W_j pairwise disjoint and total mass under
+    eps; F_j is the arc of radius w/8 around the point x_j.  The bump of
+    each pair (pullback of closure(V_j), pullback of W_j), arcs of radius
+    w/2 and w around x_j, is `trapezoid(x_j, w)`, built with no region;
+    the trapezoids enter a min-cascade, so the sum is exactly 1 on the
+    union of the pulled-back closure(V_j).  The cover is not self-checked:
+    callers run verify_leftover_cover, or verify_witness on the witness
+    the cover ends up in.
     """
     eps = ExactScalar.coerce(eps)
     if eps.sign() <= 0:
@@ -531,27 +533,19 @@ def leftover_cover(system, F, U, eps, search_depth: int = DEFAULT_DEPTH) -> Left
     mids = []
     opens = []
     shifts = []
-    pairs = []
+    gs = []
     for x, (t, d), w in zip(points, assigned, _target_gaps(targets, U)):
         if pair is not None and pair < w:
             w = pair
         if budget < w:
             w = budget
         w = w / 2
-        W = Region(system, [(t - w, t + w, False, False)])
-        V = Region(system, [(t - w / 2, t + w / 2, False, False)])
-        T = Region(system, [(t - w / 4, t + w / 4, False, False)])
-        Fj = Region(system, [(x - w / 8, x + w / 8, True, True)])
-        closed.append(Fj)
-        tighter.append(T)
-        mids.append(V)
-        opens.append(W)
+        opens.append(Region.interval(system, t - w, t + w, False, False))
+        mids.append(Region.interval(system, t - w / 2, t + w / 2, False, False))
+        tighter.append(Region.interval(system, t - w / 4, t + w / 4, False, False))
+        closed.append(Region.interval(system, x - w / 8, x + w / 8))
         shifts.append(d)
-        pairs.append(
-            (translate_region(system, V.closure(), -d),
-             translate_region(system, W, -d))
-        )
-    gs = [bump(Fc, Wc) for Fc, Wc in pairs]
+        gs.append(trapezoid(x, w))
     fs = min_cascade(system, gs)
     return LeftoverCover(
         tuple(closed), tuple(tighter), tuple(mids), tuple(opens),

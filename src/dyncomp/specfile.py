@@ -85,8 +85,14 @@ def parse_scalar(tokens, pos, D, theta=None):
         ) from None
     if b != 0 and D == 1:
         raise MalformedFile("scalar triple needs a 'field D' line before it")
+    return exact_scalar(a, b, c, D), pos + 3
+
+
+def exact_scalar(a, b, c, D):
+    """ExactScalar(a, b, c, D) from parsed integers, or MalformedFile for a
+    zero denominator or a bad field."""
     try:
-        return ExactScalar(a, b, c, D), pos + 3
+        return ExactScalar(a, b, c, D)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedFile("bad scalar triple: %s" % exc) from None
 
@@ -266,7 +272,7 @@ def parse_system_echo(tokens):
     if tokens and tokens[0] == "circle" and len(tokens) == 5:
         D = _field(tokens[1], "system echo")
         a, b, c = (_int(t, "system echo") for t in tokens[2:])
-        return CircleRotation(ExactScalar(a, b, c, D))
+        return CircleRotation(exact_scalar(a, b, c, D))
     if tokens and tokens[0] == "odometer" and len(tokens) >= 3:
         truncation = _int(tokens[1], "truncation")
         return _odometer([_int(t, "base") for t in tokens[2:]], truncation)

@@ -476,6 +476,91 @@ def test_cli_golden_outputs_byte_identical(tmp_path, capsys):
     assert sha256(out) == "681e6fd5676c4e0a594214773a356d3ddd371324f5386ebaa40195c21618a827"
 
 
+# The golden spec rotated by 20/40 (U = (4/5, 11/10) passes through 0) and by
+# 36/40 (C = [9/10, 11/10] passes through 0), with the Birkhoff pair rotated
+# alike, and the digests of compare stdout and the certificate as first
+# emitted; birkhoff --check prints the same bytes at every rotation.
+SEAM_SPECS = {
+    20: ("1 0 2 7 0 10", "4 0 5 11 0 10", "1 0 2 3 0 5", "4 0 5 11 0 10",
+         "22de904b4b18a8856c71613b013b136a6567faa181c3ad44babf508be467b8fd",
+         "edc930d6d7ebc8a8adbad40ea9b2d4c694ef4001b8dbc1c84cdd5f1bfe4f8cc3"),
+    36: ("9 0 10 11 0 10", "1 0 5 1 0 2", "9 0 10 1 0 1", "1 0 5 1 0 2",
+         "6e307290476150a434fa13e79630fef20853e6e4f328db8fb60bf7b688c0e76e",
+         "c6df01f63f0e9f75f45c585336ad0c0e6f8e591a333c2c72d96ed0de9ca9b96b"),
+}
+
+
+def seam_spec(k):
+    C, U, F, E = SEAM_SPECS[k][:4]
+    text = "system circle\n  field 5\n  theta -1 1 2\nend\n"
+    for name, piece, kind in (("C", C, "closed"), ("U", U, "open"),
+                              ("F", F, "closed"), ("E", E, "open")):
+        text += "\nregion %s\n  piece %s %s %s\nend\n" % (name, piece, kind, kind)
+    return text
+
+
+@pytest.mark.parametrize("k", sorted(SEAM_SPECS))
+def test_cli_seam_outputs_byte_identical(tmp_path, capsys, k):
+    # the seam-cutting paths (trapezoids and supports through 0, levels and
+    # arcs cut at the seam) pinned end to end
+    spec = write(tmp_path, "seam.spec", seam_spec(k))
+    cert = tmp_path / "seam.cert"
+    assert cli.run(["compare", "--spec", spec, "--out", str(cert)]) == 0
+    body, _, wrote = capsys.readouterr().out.rpartition("wrote ")
+    assert wrote == "%s\n" % cert
+    assert sha256(body) == SEAM_SPECS[k][4]
+    assert sha256(cert.read_bytes()) == SEAM_SPECS[k][5]
+    assert cli.run(["verify", "--spec", spec, "--cert", str(cert)]) == 0
+    assert all(line.startswith("verdict pass") for line in capsys.readouterr().out.splitlines())
+    assert cli.run(["birkhoff", "--spec", spec, "--check"]) == 0
+    out = capsys.readouterr().out
+    assert sha256(out) == "681e6fd5676c4e0a594214773a356d3ddd371324f5386ebaa40195c21618a827"
+
+
+def test_cli_verify_rejects_zero_denominators(tmp_path, capsys):
+    # a zero denominator anywhere in a certificate is a malformed file
+    # (exit 1), never a raw ZeroDivisionError
+    spec = write(tmp_path, "g.spec", SMALL_SPEC)
+    cert = tmp_path / "w.cert"
+    assert cli.run(["compare", "--spec", spec, "--out", str(cert)]) == 0
+    capsys.readouterr()
+    text = cert.read_text()
+    for pattern, repl in (
+        (r"^bp (-?\d+) (-?\d+) \d+ ", r"bp \1 \2 0 "),  # abscissa denominator
+        (r"^(bp( -?\d+){5}) \d+$", r"\1 0"),  # value denominator
+        (r"^system circle 5 -1 1 2$", "system circle 5 -1 1 0"),
+    ):
+        bad = re.sub(pattern, repl, text, count=1, flags=re.M)
+        assert bad != text, pattern
+        (tmp_path / "bad.cert").write_text(bad)
+        assert cli.run(["verify", "--spec", spec, "--cert", str(tmp_path / "bad.cert")]) == 1
+        assert "bad scalar triple" in capsys.readouterr().err
+        with pytest.raises(MalformedFile):
+            parse_certfile(bad)
+    odo = "dyncomp-cert 1\ntool dyncomp 0\nsystem odometer 1 2 3\nshift 0\nval 1 1 0 0\n"
+    with pytest.raises(MalformedFile, match="bad scalar triple"):
+        parse_certfile(odo)
+
+
+def test_cli_verify_fails_a_certificate_with_no_entries(tmp_path, capsys):
+    # no shift lines: the sum over the non-empty closed set is 0, so the
+    # partition clause fails (exit 3) instead of raising on an empty sum
+    spec = write(tmp_path, "g.spec", SMALL_SPEC)
+    cert = tmp_path / "w.cert"
+    assert cli.run(["compare", "--spec", spec, "--out", str(cert)]) == 0
+    capsys.readouterr()
+    lines = cert.read_text().splitlines(keepends=True)
+    bare = "".join(ln for ln in lines if not ln.startswith(("shift", "bp")))
+    (tmp_path / "bare.cert").write_text(bare)
+    assert cli.run(["verify", "--spec", spec, "--cert", str(tmp_path / "bare.cert")]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict pass ranges within [0, 1]",
+        "verdict fail sums to 1 on the closed set",
+        "verdict pass translated supports pairwise disjoint",
+        "verdict pass translated supports inside the open set",
+    ]
+
+
 def test_cli_golden_tower_and_refine_byte_identical(tmp_path, capsys):
     # stdout digests of `tower` and `refine` over a disjoint base for 32
     # levels, as first emitted, so the rotating translate and the indexed

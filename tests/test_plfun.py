@@ -1,5 +1,8 @@
+import heapq
 import random
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,10 +25,9 @@ from dyncomp.plfun import (
     support_report,
     sum_of,
     translate_fn,
-    _slopes,
 )
 from dyncomp.regions import CylinderRegion, Region, translate_region
-from dyncomp.scalars import ExactScalar, golden_theta
+from dyncomp.scalars import ONE, ZERO, ExactScalar, golden_theta
 from dyncomp.systems import Odometer, CircleRotation
 
 R = ExactScalar.rational
@@ -199,8 +201,7 @@ def test_extrema_against_sampling():
         mn, mx, argmin = global_extrema(f)
         assert f.evaluate(argmin) == mn
         lip = R(0)
-        for i in range(len(f.breakpoints)):
-            s = abs(f._slope(i))
+        for s in map(abs, slopes_from_breakpoints(f)):
             if lip < s:
                 lip = s
         best_lo = best_hi = f.evaluate(R(0))
@@ -357,19 +358,25 @@ def slopes_from_breakpoints(f):
     return [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, ends)]
 
 
+def jumps_from_breakpoints(f):
+    """Slope jumps recomputed from the breakpoints alone."""
+    s = slopes_from_breakpoints(f)
+    return [s[i] - s[i - 1] for i in range(len(s))]
+
+
 # the sum's first kink and a rotated copy's wrap both sit on the seam
 @example([PLFunction([((THETA * R(-3)).frac(), R(1)), (R(1, 2), R(0))]), PLFunction.constant(R(2))], 3)
 @settings(max_examples=150, deadline=None)
 @given(st.lists(pl_functions(), min_size=2, max_size=4), st.integers(-50, 50))
-def test_carried_slopes_match_breakpoints(fns, n):
+def test_carried_jumps_match_breakpoints(fns, n):
     total = sum_of(fns)
     moved = translate_fn(GOLDEN, total, n)
     S = birkhoff_sum(GOLDEN, fns[0], 5)
     for f in (total, moved, S, translate_fn(GOLDEN, S, -n), sum_of([total, moved])):
-        assert f._sl is not None  # carried, not recomputed
-        assert _slopes(f) == slopes_from_breakpoints(f)
+        assert f._jp is not None  # carried, not recomputed
+        assert f.jumps == jumps_from_breakpoints(f)
     bare = translate_fn(GOLDEN, fns[1], n)
-    assert _slopes(bare) == slopes_from_breakpoints(bare)
+    assert bare.jumps == jumps_from_breakpoints(bare)
 
 
 def support_by_zero_crossings(f):
@@ -402,3 +409,119 @@ def support_by_zero_crossings(f):
 def test_support_of_matches_zero_crossings(f, g):
     for h in (f, minimum(f, g), sum_of([f, g])):
         assert support_of(GOLDEN, h).pieces == support_by_zero_crossings(h).pieces
+
+
+# -- the jump-form kernel against the slope-form kernel it replaced, over
+# Q(sqrt 2), Q(sqrt 5) and Q(sqrt 13)
+
+ROTATIONS = {D: CircleRotation(ExactScalar(0, 1, 1, D).frac()) for D in (2, 5, 13)}
+
+
+def slope_merged(fns):
+    """The merged abscissae with their owners, by a k-way heapq merge."""
+    streams = [zip(f._xs, repeat(fi), range(len(f._xs))) for fi, f in enumerate(fns)]
+    at, owners = None, []
+    for x, fi, i in heapq.merge(*streams, key=itemgetter(0)):
+        if owners and x == at:
+            owners.append((fi, i))
+            continue
+        if owners:
+            yield at, owners
+        at, owners = x, [(fi, i)]
+    yield at, owners
+
+
+def slope_sum_of(fns):
+    """sum_of in its slope form: at each merged abscissa the new slope is
+    the old one plus each owner's slope difference, kept where it changes."""
+    if len(fns) == 1:
+        return fns[0]
+    x0 = min(f._xs[0] for f in fns)
+    slopes = [slopes_from_breakpoints(f) for f in fns]
+    value = sum((f.evaluate(x0) for f in fns), ZERO)
+    slope = sum((s[-1] for s in slopes), ZERO)
+    out, at = [], x0
+    for x, owners in slope_merged(fns):
+        new = slope
+        for fi, i in owners:
+            new = new + (slopes[fi][i] - slopes[fi][i - 1])
+        if new != slope:
+            value = value + slope * (x - at)
+            at = x
+            out.append((x, value))
+            slope = new
+    return PLFunction._canonical(out or [(ZERO, value)])
+
+
+def support_by_segments(system, f):
+    """support_of in its constructor form: every segment with a nonzero
+    end, closed, put through the sweeping Region constructor."""
+    bps = f.breakpoints
+    if len(bps) == 1:
+        return Region.empty(system) if bps[0][1].sign() == 0 else Region.full(system)
+    arcs = []
+    for i in range(len(bps)):
+        xa, va, xb, vb = f._segment(i)
+        if va.sign() != 0 or vb.sign() != 0:
+            arcs.append((xa, xb, True, True))
+    return Region(system, arcs)
+
+
+def field_abscissa(draw, theta):
+    """0, k/8, frac(m theta), a point just below 1, or frac(m theta + r/8):
+    a small pool, so that functions share abscissae and segments wrap the
+    seam."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return R(draw(st.integers(0, 7)), 8)
+    if kind == 1:
+        return (theta * R(draw(st.integers(-3, 3)))).frac()
+    if kind == 2:
+        return ONE - theta / R(draw(st.integers(2, 64)))
+    return (theta * R(draw(st.integers(-40, 40))) + R(draw(st.integers(0, 7)), 8)).frac()
+
+
+@st.composite
+def field_functions(draw, D, max_points=5):
+    """A PL function over Q(sqrt D) through the validating constructor,
+    with values (a + b sqrt D)/4 that are often 0; one in five a constant."""
+    theta = ROTATIONS[D].theta
+    if draw(st.integers(0, 4)) == 0:
+        return PLFunction.constant(ExactScalar(draw(st.integers(-4, 4)), 0, 2))
+    pts = {}
+    for _ in range(draw(st.integers(1, max_points))):
+        zero = draw(st.booleans())
+        v = ZERO if zero else ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, D)
+        pts[field_abscissa(draw, theta)] = v
+    return PLFunction(list(pts.items()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ROTATIONS)), st.data())
+def test_jump_sum_matches_slope_sum_and_pointwise(D, data):
+    system = ROTATIONS[D]
+    fns = data.draw(st.lists(field_functions(D), min_size=2, max_size=5))
+    if data.draw(st.booleans()):
+        fns.append(scale(fns[0], -1))  # cancels the first one's kinks
+    n = data.draw(st.integers(-30, 30))
+    total = sum_of(fns)
+    assert total.breakpoints == slope_sum_of(fns).breakpoints
+    assert_canonical(total)
+    for x in probe_points(total, *fns):
+        assert total.evaluate(x) == sum((f.evaluate(x) for f in fns), ZERO)
+    assert sum_of([fns[0], scale(fns[0], -1)]) == PLFunction.constant(ZERO)
+    assert sum_of(fns + [scale(total, -1)]) == PLFunction.constant(ZERO)
+    for f in (total, translate_fn(system, total, n), birkhoff_sum(system, fns[1], 3),
+              scale(total, R(-3, 2))):
+        assert f._jp is not None
+        assert f.jumps == jumps_from_breakpoints(f)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ROTATIONS)), st.data())
+def test_support_of_matches_the_constructor_form(D, data):
+    system = ROTATIONS[D]
+    f, g = data.draw(field_functions(D)), data.draw(field_functions(D))
+    n = data.draw(st.integers(-30, 30))
+    for h in (f, translate_fn(system, f, n), sum_of([f, g]), minimum(f, g)):
+        assert support_of(system, h).pieces == support_by_segments(system, h).pieces

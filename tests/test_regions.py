@@ -760,3 +760,28 @@ def test_box_measure_is_polynomial():
     vol = region.measure()
     assert time.perf_counter() - start < 0.1
     assert vol == R(Fraction(1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 5, 13)), st.data())
+def test_interval_matches_the_sweep(D, data):
+    # Region.interval cuts its one arc at the seam with no sweep; lifted
+    # ends below 0 and past 1, lengths 0 and 1, every flag pair
+    system = CircleRotation(ExactScalar(0, 1, 1, D).frac())
+    theta = system.theta
+    if data.draw(st.booleans()):
+        lo = R(data.draw(st.integers(-16, 31)), 16)
+    else:
+        lo = theta * R(data.draw(st.integers(-5, 5))) + data.draw(st.integers(-1, 1))
+    kind = data.draw(st.integers(0, 3))
+    if kind == 0:
+        length = R(data.draw(st.sampled_from((0, 1))))
+    elif kind == 1:
+        length = R(data.draw(st.integers(0, 16)), 16)
+    elif kind == 2:
+        length = (theta * R(data.draw(st.integers(1, 9)))).frac()
+    else:
+        length = (ONE - lo).frac() or ONE  # the arc ends exactly on the seam
+    lc, hc = data.draw(st.booleans()), data.draw(st.booleans())
+    got = Region.interval(system, lo, lo + length, lc, hc)
+    assert got.pieces == Region(system, [(lo, lo + length, lc, hc)]).pieces

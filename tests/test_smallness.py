@@ -14,6 +14,7 @@ from dyncomp.errors import (
 )
 from dyncomp.scalars import ExactScalar, golden_theta, ONE, ZERO
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
+from dyncomp.plfun import PLFunction, bump, trapezoid
 from dyncomp.regions import BoxRegion, CylinderRegion, Region, translate_region, union_many
 from dyncomp import comparison as cp, smallness as sm
 
@@ -496,3 +497,33 @@ def test_golden_leftover_cover_steps_instead_of_scanning(monkeypatch):
                               open_arc(GOLDEN, R(3, 10), R(6, 10)))
     assert w.provenance.leftover == 210
     assert len(calls) < 1000
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((2, 5, 13)), st.data())
+def test_trapezoid_is_the_pulled_back_bump(D, data):
+    # leftover_cover's g_j in closed form against the region-algebra bump of
+    # (translate(closure V, -d), translate(W, -d)); points at 0 and just
+    # below 1 put the trapezoid across the seam
+    system = CircleRotation(ExactScalar(0, 1, 1, D).frac())
+    theta = system.theta
+    kind = data.draw(st.integers(0, 2))
+    if kind == 0:
+        x = R(data.draw(st.integers(0, 15)), 16)
+    elif kind == 1:
+        x = ONE - theta / R(data.draw(st.integers(2, 400)))
+    else:
+        x = (theta * R(data.draw(st.integers(-40, 40)))).frac()
+    k = data.draw(st.integers(2, 300))
+    w = R(1, k) if data.draw(st.booleans()) else theta / R(k)
+    d = data.draw(st.integers(-30, 30))
+    t = system.apply(x, d)
+    W = Region.interval(system, t - w, t + w, False, False)
+    V = Region.interval(system, t - w / 2, t + w / 2, False, False)
+    g = trapezoid(x, w)
+    assert g == bump(translate_region(system, V.closure(), -d), translate_region(system, W, -d))
+    assert PLFunction(list(g.breakpoints)) == g
+    bps = g.breakpoints
+    ends = bps[1:] + ((bps[0][0] + 1, bps[0][1]),)
+    slopes = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, ends)]
+    assert g.jumps == [slopes[i] - slopes[i - 1] for i in range(len(slopes))]
