@@ -113,6 +113,9 @@ def test_union_of_two_half_circles_is_full():
     assert a.union(b).is_full
     assert covers_space(h, [a, b])
     assert pairwise_disjoint(h, [a, b])
+    # closed ends that meet in one point, at 1/2 and at the seam, overlap
+    assert not pairwise_disjoint(h, [interval(h, 0, Fraction(1, 2)), b])
+    assert not pairwise_disjoint(h, [a, interval(h, Fraction(3, 4), 1)])
 
 
 def test_translate_exact_and_invariant():

@@ -1,7 +1,7 @@
 """An independent checker for circle witness certificates.
 
 It decides the four clauses that `verify_witness` reports, for the entries
-of a parsed certificate file, by naive exact algorithms that share no code
+of a certificate file's text, by naive exact algorithms that share no code
 with the PL kernel or the region algebra: breakpoint values for the ranges,
 the sum evaluated entry by entry at every breakpoint inside C, closed
 support arcs read off the segments, and one sort of their translates.
@@ -19,10 +19,6 @@ from dyncomp.scalars import ExactScalar
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 FULL = "full"
-
-
-def load(path):
-    return certfile.load_certfile(path)
 
 
 def segments(bps):
@@ -105,7 +101,8 @@ def frac(x):
     return x - x.floor()
 
 
-def check(cf, closed_arcs, open_arcs):
+def check(text, closed_arcs, open_arcs):
+    cf = certfile.parse_certfile(text)
     theta = cf.system.theta
     entries = cf.entries
     ranges = all(
