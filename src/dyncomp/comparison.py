@@ -40,6 +40,7 @@ from .plfun import (
     check_bp_budget,
     difference,
     global_extrema,
+    global_min,
     integral,
     sum_extrema_on,
     sum_of,
@@ -181,17 +182,18 @@ def birkhoff_certificate(
         raise GapNonpositive("gap function has non-positive integral")
     sigma = mass * fraction
 
-    S, N = g, 1
+    g_lo, g_hi, _ = global_extrema(g)
+    S, N, low = g, 1, g_lo
     bound = sigma  # sigma * N
-    while not global_extrema(S)[0] > bound:
+    while not low > bound:
         if 2 * N > _DOUBLING_GUARD:
             raise NonTerminationGuard("Birkhoff doubling exceeded the guard")
         check_bp_budget(g, 2 * N, bp_cap)
         S = sum_of([S, translate_fn(system, S, -N)])
         N *= 2
         bound = bound + bound
-    m0 = global_extrema(S)[0] / ExactScalar.rational(N)
-    g_lo, g_hi, _ = global_extrema(g)
+        low = global_min(S)
+    m0 = low / ExactScalar.rational(N)
     peak = -g_lo if (-g_lo) > g_hi else g_hi
     N1 = N * _ceil((m0 + peak) / (m0 - sigma))
     return BirkhoffCertificate(g0=g0, g1=g1, g=g, N0=N, sigma=sigma, m0=m0, N1=N1)
@@ -220,10 +222,10 @@ def verify_certificate(system, cert, Ns=None, bp_cap=DEFAULT_BP_CAP):
     if not (cert.m0 - cert.sigma).sign() > 0:
         failures.append("m0 does not exceed sigma")
     S0 = birkhoff_sum(system, cert.g, cert.N0, bp_cap)
-    if global_extrema(S0)[0] != cert.m0 * ExactScalar.rational(cert.N0):
+    if global_min(S0) != cert.m0 * ExactScalar.rational(cert.N0):
         failures.append("recorded m0 is not the exact minimum at N0")
     sums = {1: cert.g}
-    lows = {1: global_extrema(cert.g)[0]}
+    lows = {1: global_min(cert.g)}
     for N in sorted(set(int(n) for n in (Ns or (cert.N1, cert.N1 + 1, 2 * cert.N1)))):
         check_bp_budget(cert.g, N, bp_cap)
         floor = cert.sigma * ExactScalar.rational(N)
@@ -237,7 +239,7 @@ def verify_certificate(system, cert, Ns=None, bp_cap=DEFAULT_BP_CAP):
         else:
             S = sum_of([sums[a], translate_fn(system, sums[N - a], -a)])
         sums[N] = S
-        lows[N] = global_extrema(S)[0]
+        lows[N] = global_min(S)
         if lows[N] < floor:
             failures.append("window minimum at N = %d falls below sigma" % N)
     return failures

@@ -427,6 +427,11 @@ def global_extrema(f):
     return mn, mx, argmin
 
 
+def global_min(f):
+    """The minimum of f, one comparison per breakpoint."""
+    return min(v for _, v in f.breakpoints)
+
+
 def extrema_on(f, region):
     """(inf, sup) of f over the closure of a circle region."""
     if region.is_empty:

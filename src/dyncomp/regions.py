@@ -616,22 +616,30 @@ def walk_levels(system, opened, n):
         yield tuple((lo, lo + ln) for lo, ln in zip(los, lengths))
 
 
-def levels_disjoint(system, levels) -> bool:
-    """Exact pairwise disjointness of walked levels.
+def levels_tile(system, levels) -> bool:
+    """Whether walked levels whose measures sum to 1 are pairwise disjoint,
+    so that their closures tile the space.
 
-    On a circle this is one sort of the lifted arcs by left end: they are
-    pairwise disjoint exactly when each ends by the next one's start and
-    the last ends by the first one's start plus 1.
+    On a circle, by one chain and no sort: when no two lifted arcs share a
+    start and following each arc's end (mod 1) to the arc starting there
+    passes every arc once before it returns, the arcs abut around the
+    circle, and as their lengths sum to 1 they wind it once, disjointly.
+    Disjoint open arcs of total length 1 leave no gap, so they pass.
     """
     if isinstance(system, Odometer):
         return pairwise_disjoint(system, levels)
-    arcs = sorted((arc for level in levels for arc in level), key=itemgetter(0))
-    if not arcs:
-        return True
-    for (_, hi), (lo, _) in zip(arcs, arcs[1:]):
-        if lo < hi:
-            return False
-    return arcs[-1][1] - 1 <= arcs[0][0]
+    arcs = [arc for level in levels for arc in level]
+    ends = {lo: hi - 1 if hi >= 1 else hi for lo, hi in arcs}
+    if len(ends) < len(arcs):
+        return False  # two arcs start at one point
+    start = at = next(iter(ends), None)
+    for steps in range(1, len(ends) + 1):
+        at = ends.get(at)
+        if at is None:
+            return False  # no arc starts where this one ends
+        if at == start:
+            return steps == len(ends)
+    return False
 
 
 class ArcLocator:
@@ -658,13 +666,21 @@ class ArcLocator:
         return None if self.lifted[i] < hi else i
 
     def inside(self, lo, hi):
-        """The points strictly inside (lo, hi), lifted into it, ascending."""
-        i = bisect_right(self.points, lo)
+        """The gap holding lo, and the points strictly inside (lo, hi),
+        lifted into it, ascending."""
+        g = i = bisect_right(self.points, lo)
         lifted, out = self.lifted, []
         while lifted[i] < hi:
             out.append(lifted[i])
             i += 1
-        return out
+        return g, out
+
+    def holds(self, g, lo, hi):
+        """Whether (lo, hi), 0 <= lo < hi < 2, lies between lifted points
+        g - 1 and g, two exact comparisons; then g is the number of lifted
+        points up to lo, and no point lies strictly inside the arc."""
+        lifted = self.lifted
+        return (g == 0 or lifted[g - 1] <= lo) and hi <= lifted[g]
 
 
 def level_locator(system, S):

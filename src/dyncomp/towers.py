@@ -7,7 +7,6 @@ verified exactly at construction time.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (
     EmptyInput,
@@ -22,7 +21,7 @@ from .regions import (
     CylinderRegion,
     Region,
     covers_space,
-    levels_disjoint,
+    levels_tile,
     pairwise_disjoint,
     translate_region,
     union_many,
@@ -101,29 +100,18 @@ class RokhlinTower:
     system: object
     base: object
     columns: tuple  # ((closed cell, height), ...) sorted by (height, leftmost)
-    # the ArcLocator of the partition a circle tower was refined against;
-    # derived data, so it takes no part in equality or repr
+    # derived data, no part of equality or repr: per column, its open levels
+    # as `walk_levels` yields them (walked here unless given), and on a
+    # refined circle tower its partition's ArcLocator and each level's gap
+    walks: tuple = field(default=None, compare=False, repr=False)
     cuts: object = field(default=None, compare=False, repr=False)
+    level_gaps: tuple = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def walks(self):
-        """Per column, the tuple of its open levels as `walk_levels` yields
-        them, walked once per tower; a cell with empty interior has none."""
-        out = []
-        for cell, n in self.columns:
-            opened = cell.interior()
-            out.append(() if opened.is_empty else tuple(walk_levels(self.system, opened, n)))
-        return tuple(out)
-
-    @cached_property
-    def level_gaps(self):
-        """Per column, the gap of `cuts` holding each of its one-arc levels:
-        the refinement's check, which raises if a level holds a cut point."""
-        gaps = tuple(tuple(self.cuts.gap(lo, hi) for ((lo, hi),) in walk)
-                     for walk in self.walks)
-        if any(None in column for column in gaps):
-            raise RuntimeError("refined level straddles a partition boundary")
-        return gaps
+    def __post_init__(self):
+        if self.walks is None:
+            opened = [(cell.interior(), n) for cell, n in self.columns]
+            object.__setattr__(self, "walks", tuple(
+                () if o.is_empty else tuple(walk_levels(self.system, o, n)) for o, n in opened))
 
     def heights(self):
         return tuple(n for _, n in self.columns)
@@ -146,21 +134,22 @@ class RokhlinTower:
                 yield k, j, level
 
     def verify(self):
-        """Exact checks: disjoint open levels, cells union to the base, Kac.
+        """Exact checks: Kac, disjoint open levels, cells union to the base.
 
-        The closed levels then tile the space, with no separate pass: the
-        open levels are pairwise disjoint and Kac gives them total measure
-        1, so the complement of the closed levels is an open null set,
-        hence empty.  On an odometer open and closed levels coincide, and
-        disjoint levels of total measure 1 hold every cylinder.
+        Kac comes first: it makes the open levels' measures sum to 1, which
+        `levels_tile` needs to decide disjointness by one chain through the
+        levels.  The closed levels then tile the space, with no separate
+        pass: the open levels are pairwise disjoint of total measure 1, so
+        the complement of the closed levels is an open null set, hence
+        empty.  On an odometer open and closed levels coincide, and disjoint
+        levels of total measure 1 hold every cylinder.
         """
         sys = self.system
-        levels = [level for walk in self.walks for level in walk]
-        if not levels_disjoint(sys, levels):
+        _check_kac(self)
+        if not levels_tile(sys, [level for walk in self.walks for level in walk]):
             raise RuntimeError("tower invariant failed: open levels overlap")
         if union_many(sys, [cell for cell, _ in self.columns]) != self.base:
             raise RuntimeError("tower invariant failed: cells do not union to the base")
-        _check_kac(self)
 
 
 def _check_kac(tower):
@@ -229,26 +218,54 @@ def _boundary_points(parts):
 
 def _refine_circle(tower, parts):
     """Cut each column's arcs at the pullbacks of the partition boundary
-    points that its walked levels hold strictly inside."""
+    points that its walked levels hold strictly inside.
+
+    The refined tower's walk and gaps come from the parent's walk, with no
+    second walk and no bisection per level.  The sub-arc [s, t] of a parent
+    arc starting at a has level j from lo_j + (s - a) to lo_j + (t - a),
+    where lo_j starts the parent's level j; only the parent level that
+    passes 1 wraps some of its sub-levels back by 1.  A sub-level's gap is
+    its parent level's start gap plus the number of that level's inside
+    points it has passed.  `ArcLocator.holds` checks each claimed gap with
+    two exact comparisons, so an open level that holds a partition boundary
+    point raises.
+    """
     system = tower.system
     points = ArcLocator(_boundary_points(parts))
     cols = []
     for walk, (_, n) in zip(tower.walks, tower.columns):
-        if not walk:
-            continue
-        base = walk[0]
-        cuts = [set(points.inside(a, b)) for a, b in base]
-        for level in walk[1:]:
-            for (a, _), (lo, hi), found in zip(base, level, cuts):
-                found.update(a + (x - lo) for x in points.inside(lo, hi))
-        for (a, b), found in zip(base, cuts):
-            stops = [a] + sorted(found) + [b]
-            for lo, hi in zip(stops, stops[1:]):
-                cols.append((Region(system, [(lo, hi, True, True)]), n))
-    cols.sort(key=lambda cn: (cn[1], cn[0].pieces[0][0]))
-    refined = RokhlinTower(system, tower.base, tuple(cols), cuts=points)
+        for i, (a, b) in enumerate(walk[0] if walk else ()):
+            arcs = [level[i] for level in walk]
+            gaps, passed = [], {}
+            for j, (lo, hi) in enumerate(arcs):
+                g, inside = points.inside(lo, hi)
+                gaps.append(g)
+                for x in inside:
+                    passed.setdefault(a + (x - lo), []).append(j)
+            stops = [a] + sorted(passed) + [b]
+            marks = [s - a for s in stops]
+            rows = [([lo + d for d in marks], hi > 1) for lo, hi in arcs]
+            for t in range(len(stops) - 1):
+                walked, claimed = [], []
+                for (row, through), g in zip(rows, gaps):
+                    lo, hi = row[t], row[t + 1]
+                    if not points.holds(g, lo, hi):
+                        raise RuntimeError("refined level straddles a partition boundary")
+                    if through and lo >= 1:
+                        lo, hi, g = lo - 1, hi - 1, g - len(points.points)
+                    walked.append(((lo, hi),))
+                    claimed.append(g)
+                for j in passed.get(stops[t + 1], ()):
+                    gaps[j] += 1
+                if len(stops) == 2 and len(walk[0]) == 1:
+                    walked = walk  # uncut, so a full circle's level stays _FULL_LEVEL
+                cell = Region(system, [(stops[t], stops[t + 1], True, True)])
+                cols.append((cell, n, tuple(walked), tuple(claimed)))
+    cols.sort(key=lambda c: (c[1], c[0].pieces[0][0]))
+    refined = RokhlinTower(system, tower.base, tuple((cell, n) for cell, n, _, _ in cols),
+                           walks=tuple(c[2] for c in cols), cuts=points,
+                           level_gaps=tuple(c[3] for c in cols))
     _check_kac(refined)
-    refined.level_gaps  # no partition boundary point inside any open level
     return refined
 
 
@@ -279,8 +296,11 @@ def refine_tower(tower, partition) -> RokhlinTower:
     Column bases are cut at the pullbacks of partition boundary points that
     land inside them; empty cells never arise, so the cell count stays the
     number of cuts plus one per column piece.  The parent tower is taken as
-    verified (as `build_tower` leaves it); the cuts are checked by the Kac
-    identity and, on the circle, by every open level lying in one part.
+    verified (as `build_tower` leaves it), and its cached walk is the only
+    walk a refinement reads: a refined circle tower takes its walk and the
+    gap of each level from it.  The cuts are checked by the Kac identity
+    and, on the circle, by each level's claimed gap holding it, so every
+    open level lies in one part.
     """
     parts = list(partition)
     if not parts:

@@ -16,6 +16,7 @@ from dyncomp.plfun import (
     difference,
     extrema_on,
     global_extrema,
+    global_min,
     integral,
     min_cascade,
     maximum,
@@ -199,7 +200,7 @@ def test_extrema_against_sampling():
     for _ in range(5):
         f = rand_pl(rng)
         mn, mx, argmin = global_extrema(f)
-        assert f.evaluate(argmin) == mn
+        assert f.evaluate(argmin) == mn and global_min(f) == mn
         lip = R(0)
         for s in map(abs, slopes_from_breakpoints(f)):
             if lip < s:

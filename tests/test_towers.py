@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,7 +15,14 @@ from dyncomp.errors import (
     UnrefinedTower,
 )
 from dyncomp.plfun import CylinderFunction
-from dyncomp.regions import ArcLocator, CylinderRegion, Region, level_locator, walk_levels
+from dyncomp.regions import (
+    ArcLocator,
+    CylinderRegion,
+    Region,
+    level_locator,
+    levels_tile,
+    walk_levels,
+)
 from dyncomp.scalars import ONE, ZERO, ExactScalar, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.towers import (
@@ -578,7 +586,9 @@ def test_one_walk_per_tower(monkeypatch):
     tower = build_tower(system, disjoint_base(system, 6))
     refined = refine_tower(tower, parts)
     counts = [cp.column_counts(refined, p) for p in parts]
-    assert len(entered) == len(tower.columns) + len(refined.columns)
+    # the refinement derives its walk from the parent's, so only the
+    # parent's columns are ever walked
+    assert len(entered) == len(tower.columns)
     assert sum(len(c) for per_part in counts for c in per_part) == sum(refined.heights())
     # the cached walk and the refinement's cut points are no part of the
     # tower's value
@@ -588,12 +598,141 @@ def test_one_walk_per_tower(monkeypatch):
     assert "walks" not in repr(refined) and "cuts" not in repr(refined)
 
 
-def test_level_gaps_reject_a_straddle():
-    # 1/2 lies inside the height-1 level (1 - theta, theta) of the golden tower
+def test_level_gaps_reject_a_straddle(monkeypatch):
+    # 1/2 lies inside the height-1 level (1 - theta, theta) of the golden
+    # tower: neither gap beside it holds the level, the one after failing
+    # the lower comparison and the one before the upper
     tower = build_tower(GOLDEN, golden_base())
-    cut = RokhlinTower(GOLDEN, tower.base, tower.columns, cuts=ArcLocator([R(1, 2)]))
-    with pytest.raises(RuntimeError, match="straddles a partition boundary"):
-        cut.level_gaps
+    (((lo, hi),),) = tower.walks[0]
+    half = ArcLocator([R(1, 2)])
+    assert not half.holds(1, lo, hi) and not half.holds(0, lo, hi)
+    assert half.holds(0, lo, R(1, 2)) and half.holds(1, R(1, 2), hi)
+    # a refinement whose claimed start gaps are one off, either way, holds
+    # a cut point in some claimed gap and raises
+    parts = grid_parts(GOLDEN, [3, 12, 20], 2)
+    inside = ArcLocator.inside
+    for shift in (1, -1):
+        def shifted(self, lo, hi, shift=shift):
+            g, points = inside(self, lo, hi)
+            return max(g + shift, 0), points
+
+        monkeypatch.setattr(ArcLocator, "inside", shifted)
+        with pytest.raises(RuntimeError, match="straddles a partition boundary"):
+            refine_tower(tower, parts)
+    monkeypatch.undo()
+    refine_tower(tower, parts)
+
+
+# -- the refinement's derived walk and gaps, and the chain check of verify
+
+
+def gaps_by_bisection(tower):
+    """Per column, the gap between the tower's cut points that holds each
+    walked level, by one bisection per level; None for a level that holds
+    a cut point."""
+    points = tower.cuts.points
+    lifted = points + [p + 1 for p in points] + [R(2)]
+    out = []
+    for cell, n in tower.columns:
+        gaps = []
+        for ((lo, hi),) in walk_levels(tower.system, cell.interior(), n):
+            i = bisect_right(points, lo)
+            gaps.append(None if lifted[i] < hi else i)
+        out.append(tuple(gaps))
+    return tuple(out)
+
+
+def orbit_parts(system, ks):
+    """The arcs between the orbit points frac(k theta), dealt to two parts:
+    pullbacks of two such points from two levels can coincide."""
+    pts = sorted({(system.theta * R(k)).frac() for k in ks})
+    arcs = [(lo, hi) for lo, hi in zip(pts, pts[1:])] + [(pts[-1], pts[0] + 1)]
+    return [Region(system, [(lo, hi, True, True) for lo, hi in arcs[k::2]]) for k in range(2)]
+
+
+# two closed arcs, refined on the grid, then at orbit points
+@example(Region(GOLDEN, [(R(1, 8), R(1, 4), True, True), (R(1, 2), R(5, 8), True, True)]),
+         [3, 11, 17], 3, [0, 1, 2, 5])
+# an arc through 0, with 0 itself a cut point
+@example(Region.interval(GOLDEN, R(7, 8), R(9, 8)), [0, 5, 13, 20], 2, [-1, 0, 3])
+@settings(max_examples=60, deadline=None)
+@given(circle_bases(max_arcs=2), cut_lists, st.integers(2, 3),
+       st.lists(st.integers(-8, 8), min_size=2, max_size=5, unique=True))
+def test_derived_walk_and_gaps_match_walk_and_bisection(Y, grid_cuts, m, ks):
+    system = Y.system
+    refined = refine_tower(build_tower(system, Y), grid_parts(system, grid_cuts, m))
+    again = refine_tower(refined, orbit_parts(system, ks))
+    for t in (refined, again):
+        oracle = gaps_by_bisection(t)
+        assert len(t.walks) == len(t.level_gaps) == len(t.columns)
+        for k, (cell, n) in enumerate(t.columns):
+            walked = tuple(walk_levels(system, cell.interior(), n))
+            assert len(t.walks[k]) == len(t.level_gaps[k]) == len(walked) == n
+            for j, level in enumerate(walked):
+                assert t.walks[k][j] == level
+                assert t.level_gaps[k][j] == oracle[k][j]
+
+
+def test_full_circle_tower_refines_from_its_walk():
+    # the full circle's one level is the whole circle, which the lifted arc
+    # (0, 1) is not: refined against the trivial partition the column keeps
+    # that level, so a region missing only 0 still straddles it
+    full = Region.full(GOLDEN)
+    tower = build_tower(GOLDEN, full)
+    punctured = Region(GOLDEN, [(R(0), R(1), False, False)])
+    halves = [Region.interval(GOLDEN, R(0), R(1, 2)), Region.interval(GOLDEN, R(1, 2), R(1))]
+    for parts in ([full], halves):
+        refined = refine_tower(tower, parts)
+        refined.verify()
+        for S in [punctured] + halves:
+            assert outcome(cp.column_counts, refined, S) == outcome(region_scan_counts, refined, S)
+
+
+def levels_disjoint_by_sort(levels):
+    """Pairwise disjointness of lifted open circle arcs by one sort by left
+    end: each must end by the next one's start, and the last by the first
+    one's start plus 1."""
+    arcs = sorted((arc for level in levels for arc in level), key=lambda arc: arc[0])
+    if not arcs:
+        return True
+    for (_, hi), (lo, _) in zip(arcs, arcs[1:]):
+        if lo < hi:
+            return False
+    return arcs[-1][1] - 1 <= arcs[0][0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 5, 13)), st.data())
+def test_chain_check_matches_the_sort(D, data):
+    # lifted arcs of total length 1: a tiling, one arc shifted, two arcs'
+    # lengths swapped, and two arcs with one start; one arc always passes
+    # through the seam or ends on it
+    system = CircleRotation(ExactScalar(0, 1, 1, D).frac())
+    draw = data.draw
+    pts = sorted({(system.theta * R(k) + R(r, 16)).frac()
+                  for k, r in draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 15)),
+                                            min_size=1, max_size=7))})
+    ends = pts + [pts[0] + 1]
+    arcs = [[lo, hi - lo] for lo, hi in zip(ends, ends[1:])]  # start, length
+    kind = draw(st.integers(0, 3))
+    i = draw(st.integers(0, len(arcs) - 1))
+    k = (i + draw(st.integers(1, max(1, len(arcs) - 1)))) % len(arcs)
+    if kind == 1:
+        arcs[i][0] += draw(st.sampled_from((R(1, 64), R(-1, 64), system.theta / 16)))
+    elif kind == 2:
+        arcs[i][1], arcs[k][1] = arcs[k][1], arcs[i][1]
+    elif kind == 3 and k != i:
+        arcs[k][0] = arcs[i][0]
+    lifted = [(lo.frac(), lo.frac() + ln) for lo, ln in draw(st.permutations(arcs))]
+    split = draw(st.integers(0, len(lifted)))
+    levels = [(arc,) for arc in lifted[:split]]
+    levels += [tuple(lifted[j:j + 2]) for j in range(split, len(lifted), 2)]
+    tiles = levels_tile(system, levels)
+    assert tiles == levels_disjoint_by_sort(levels)
+    if kind == 0:
+        assert tiles
+    if kind == 3 and k != i:
+        assert not tiles
 
 
 def test_empty_interior_column_has_no_levels():
