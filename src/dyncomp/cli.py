@@ -455,6 +455,8 @@ def float_birkhoff_min(system, g, N, starts):
     def geval(x):
         i = bisect_right(xs, x) - 1
         xa, va = xs[i], vs[i]
+        if i < 0:  # before the first breakpoint: the segment wrapping 1 -> 0
+            xa -= 1.0
         if i + 1 < len(xs):
             xb, vb = xs[i + 1], vs[i + 1]
         else:

@@ -35,7 +35,7 @@ from .plfun import (
     DEFAULT_BP_CAP,
     CylinderFunction,
     PLFunction,
-    birkhoff_sum,
+    birkhoff_min,
     bump,
     check_bp_budget,
     difference,
@@ -45,7 +45,6 @@ from .plfun import (
     sum_extrema_on,
     sum_of,
     support_of,
-    translate_fn,
 )
 from .regions import (
     CylinderRegion,
@@ -150,8 +149,9 @@ def birkhoff_certificate(
 
     g0 is a bump equal to 1 on F supported away from closure(E); g1 is a
     bump supported inside E equal to 1 on a retract of E.  N0 is found by
-    doubling until the exact minimum of S_N0 g clears sigma * N0, each S_N
-    within bp_cap breakpoints; N1 is the block bound
+    doubling until the exact minimum of S_N0 g (`birkhoff_min`, read from
+    orbit windows without building S_N) clears sigma * N0, each N within
+    the work budget check_bp_budget(g, N, bp_cap); N1 is the block bound
     N0 * ceil((m0 + max|g|) / (m0 - sigma)).
     """
     if not isinstance(system, CircleRotation):
@@ -183,16 +183,15 @@ def birkhoff_certificate(
     sigma = mass * fraction
 
     g_lo, g_hi, _ = global_extrema(g)
-    S, N, low = g, 1, g_lo
+    N, low = 1, g_lo
     bound = sigma  # sigma * N
     while not low > bound:
         if 2 * N > _DOUBLING_GUARD:
             raise NonTerminationGuard("Birkhoff doubling exceeded the guard")
         check_bp_budget(g, 2 * N, bp_cap)
-        S = sum_of([S, translate_fn(system, S, -N)])
         N *= 2
         bound = bound + bound
-        low = global_min(S)
+        low = birkhoff_min(system, g, N)
     m0 = low / ExactScalar.rational(N)
     peak = -g_lo if (-g_lo) > g_hi else g_hi
     N1 = N * _ceil((m0 + peak) / (m0 - sigma))
@@ -203,14 +202,15 @@ def verify_certificate(system, cert, Ns=None, bp_cap=DEFAULT_BP_CAP):
     """Re-check a certificate from scratch; returns failure strings.
 
     Structural clauses are exact; the window clause is spot-checked at the
-    given lengths (default N1, N1 + 1 and 2 * N1), each within bp_cap
-    breakpoints.  The shortest window is always built.  A longer one is
-    settled without building S_N when the cocycle identity
-    S_(a+b)(x) = S_a(x) + S_b(h^a x) over windows already built here (and
-    g itself, N = 1) bounds its minimum by
-    min S_a + min S_b >= sigma * N; otherwise S_N is built from such a pair
-    and its minimum compared exactly.  The window at N0 is not reused, so
-    no window follows from the certificate's own block argument.
+    given lengths (default N1, N1 + 1 and 2 * N1).  Every length, N0 first
+    and then the rest in increasing order, must pass check_bp_budget
+    before any window is summed.  Each window minimum is exact
+    (`birkhoff_min`), and the shortest window is always summed.  A longer
+    one is settled without summing when the cocycle identity
+    S_(a+b)(x) = S_a(x) + S_b(h^a x) over windows already summed here (and
+    g itself, N = 1) bounds its minimum by min S_a + min S_b >= sigma * N.
+    The window at N0 is not reused, so no window follows from the
+    certificate's own block argument.
     """
     failures = []
     for name, f in (("g0", cert.g0), ("g1", cert.g1)):
@@ -221,25 +221,19 @@ def verify_certificate(system, cert, Ns=None, bp_cap=DEFAULT_BP_CAP):
         failures.append("g is not g1 - g0")
     if not (cert.m0 - cert.sigma).sign() > 0:
         failures.append("m0 does not exceed sigma")
-    S0 = birkhoff_sum(system, cert.g, cert.N0, bp_cap)
-    if global_min(S0) != cert.m0 * ExactScalar.rational(cert.N0):
-        failures.append("recorded m0 is not the exact minimum at N0")
-    sums = {1: cert.g}
-    lows = {1: global_min(cert.g)}
-    for N in sorted(set(int(n) for n in (Ns or (cert.N1, cert.N1 + 1, 2 * cert.N1)))):
+    Ns = sorted(set(int(n) for n in (Ns or (cert.N1, cert.N1 + 1, 2 * cert.N1))))
+    for N in [cert.N0] + Ns:
         check_bp_budget(cert.g, N, bp_cap)
+    if birkhoff_min(system, cert.g, cert.N0) != cert.m0 * ExactScalar.rational(cert.N0):
+        failures.append("recorded m0 is not the exact minimum at N0")
+    lows = {1: global_min(cert.g)}
+    for N in Ns:
         floor = cert.sigma * ExactScalar.rational(N)
-        if len(sums) > 1 and any(
+        if len(lows) > 1 and any(
             N - a in lows and not lows[a] + lows[N - a] < floor for a in lows
         ):
             continue
-        a = next((a for a in sorted(sums, reverse=True) if N - a in sums), None)
-        if a is None:
-            S = birkhoff_sum(system, cert.g, N, bp_cap)
-        else:
-            S = sum_of([sums[a], translate_fn(system, sums[N - a], -a)])
-        sums[N] = S
-        lows[N] = global_min(S)
+        lows[N] = birkhoff_min(system, cert.g, N)
         if lows[N] < floor:
             failures.append("window minimum at N = %d falls below sigma" % N)
     return failures

@@ -12,6 +12,7 @@ value per level-n cylinder and the PL machinery degenerates to vectors.
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -22,7 +23,7 @@ from .errors import (
     MixedAmbient,
     NoGap,
 )
-from .scalars import ExactScalar, ONE, ZERO
+from .scalars import ExactScalar, ONE, ZERO, _reduced, _sign_surd
 from .systems import CircleRotation, Odometer
 from .regions import CylinderRegion, Region
 
@@ -386,8 +387,12 @@ DEFAULT_BP_CAP = 10**7
 
 
 def check_bp_budget(g, N: int, cap: int) -> None:
-    """Raise BreakpointBudget when S_N g may need more breakpoints than the
-    cap allows (N * |breakpoints of g| bounds them)."""
+    """Raise BreakpointBudget when N * |breakpoints of g| exceeds the cap.
+
+    That product bounds the breakpoints of S_N g, which birkhoff_sum
+    builds, and half the orbit terms birkhoff_min sums (2N - 1 for each
+    breakpoint with a positive jump), so the one bound is the work budget
+    of both."""
     if N * len(g.breakpoints) > cap:
         raise BreakpointBudget(
             "S_%d would need up to %d breakpoints (cap %d)" % (N, N * len(g.breakpoints), cap)
@@ -412,6 +417,93 @@ def birkhoff_sum(system, g, N: int, bp_cap=DEFAULT_BP_CAP) -> PLFunction:
             S = sum_of([S, translate_fn(system, g, -cur)])
             cur += 1
     return S
+
+
+def birkhoff_min(system, g, N: int) -> ExactScalar:
+    """The exact minimum of S_N g, without building S_N.
+
+    A constant g gives N * c.  Otherwise S_N g is least at a breakpoint
+    whose total slope jump is positive (or it is constant, and any point
+    will do).  Such a point is x_i - j * theta for a breakpoint x_i of g
+    with a positive jump and 0 <= j < N, since a positive sum of jumps needs
+    a positive term; there S_N g is the sum of a_u = g(x_i + u * theta)
+    over -j <= u <= N - 1 - j.  So the minimum is the least sum of N
+    consecutive terms of the 2N - 1 terms -N < u < N, over those x_i.
+
+    The orbit runs on an integer lattice: with L the common denominator of
+    theta and g's abscissae, a point is a pair (A, B) standing for
+    (A + B sqrt(D)) / L, a step adds theta's pair and a wrap subtracts L
+    after one sign test.  On each segment g is affine in (A, B) with
+    integer coefficients over one denominator M, so every term and window
+    sum is an integer pair over M; the one scalar built is the least.
+    """
+    if not isinstance(system, CircleRotation):
+        raise MixedAmbient("Birkhoff sums are built over circle rotations")
+    N = int(N)
+    if N < 1:
+        raise ValueError("Birkhoff sum needs N >= 1")
+    bps = g.breakpoints
+    if len(bps) == 1:
+        return bps[0][1] * N
+    theta, D = system.theta, system.D
+    for p in bps:
+        for s in p:
+            if s.b and s.D != D:
+                raise ValueError("incompatible quadratic fields D=%d, D=%d" % (s.D, D))
+    L = math.lcm(theta.c, *(x.c for x, _ in bps))
+
+    def lattice(x):
+        k = L // x.c
+        return x.a * k, x.b * k
+
+    TA, TB = lattice(theta)
+    xs = [lattice(x) for x, _ in bps]
+    n = len(bps)
+    # the slope of the segment each breakpoint starts; the last wraps 1 -> 0
+    slopes = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, bps[1:])]
+    slopes.append(_wrap_slope(g))
+    M = math.lcm(*(v.c for _, v in bps), *(s.c * L for s in slopes))
+    # rows[k + 1] writes g(y) * M on segment k as
+    # (c0 + c1 A + c2 B) + (e0 + e1 A + e2 B) sqrt(D); rows[0] is the last
+    # segment lifted by -1, for y < x_0
+    lifted = (xs[-1][0] - L, xs[-1][1])
+    rows = []
+    for (xa, xb), (_, v), s in zip([lifted] + xs, bps[-1:] + bps, slopes[-1:] + slopes):
+        mv, ms = M // v.c, M // (s.c * L)
+        c1, e1 = ms * s.a, ms * s.b
+        c2 = e1 * D
+        rows.append((v.a * mv - c1 * xa - c2 * xb, c1, c2,
+                     v.b * mv - e1 * xa - c1 * xb, e1, c1))
+    best = None
+    for (x, _), jump in zip(bps, g.jumps):
+        if jump.sign() <= 0:
+            continue
+        A, B = lattice((x - theta * (N - 1)).frac())
+        pa = pb = 0
+        PA, PB = [0], [0]  # prefix sums of the terms a_u, u = 1 - N, ...
+        for _ in range(2 * N - 1):
+            lo, hi = 0, n
+            while lo < hi:
+                mid = (lo + hi) // 2
+                ya, yb = xs[mid]
+                if _sign_surd(A - ya, B - yb, D) < 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            c0, c1, c2, e0, e1, e2 = rows[lo]
+            pa += c0 + c1 * A + c2 * B
+            pb += e0 + e1 * A + e2 * B
+            PA.append(pa)
+            PB.append(pb)
+            A += TA
+            B += TB
+            if _sign_surd(A - L, B, D) >= 0:
+                A -= L
+        for ha, la, hb, lb in zip(PA[N:], PA, PB[N:], PB):
+            wa, wb = ha - la, hb - lb
+            if best is None or _sign_surd(wa - best[0], wb - best[1], D) < 0:
+                best = wa, wb
+    return _reduced(best[0], best[1], M, D)
 
 
 def global_extrema(f):

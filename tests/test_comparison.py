@@ -34,6 +34,7 @@ from dyncomp.plfun import (
     translate_fn,
 )
 from dyncomp import comparison as cp
+from dyncomp.cli import float_birkhoff_min
 from dyncomp.smallness import leftover_cover
 
 R = ExactScalar.rational
@@ -46,37 +47,6 @@ def closed_arc(system, a, b):
 
 def open_arc(system, a, b):
     return Region(system, [(a, b, False, False)])
-
-
-def float_birkhoff_min(system, g, N, starts):
-    """Iterated-orbit float oracle for the minimum of S_N g / N."""
-    theta = float(system.theta)
-    xs = [float(x) for x, _ in g.breakpoints]
-    vs = [float(v) for _, v in g.breakpoints]
-
-    def geval(x):
-        import bisect
-
-        i = bisect.bisect_right(xs, x) - 1
-        xa, va = xs[i], vs[i]
-        xb = xs[i + 1] if i + 1 < len(xs) else xs[0] + 1.0
-        vb = vs[i + 1] if i + 1 < len(xs) else vs[0]
-        if xb == xa:
-            return va
-        return va + (vb - va) * (x - xa) / (xb - xa)
-
-    best = None
-    for x in starts:
-        x = x % 1.0
-        total = 0.0
-        for _ in range(N):
-            total += geval(x)
-            x += theta
-            if x >= 1.0:
-                x -= 1.0
-        if best is None or total / N < best:
-            best = total / N
-    return best
 
 
 def test_column_matching_frozen():
@@ -137,6 +107,21 @@ def test_birkhoff_certificate_float_oracle():
     assert approx >= exact - 1e-9
 
 
+def test_float_oracle_lifts_the_seam_segment():
+    # g's first breakpoint is 1/200, so orbit points in [0, 1/200) lie on
+    # the segment that wraps 1 -> 0; read without the lift, they pulled the
+    # float minimum to 0.12484... < m0 = 1/8
+    cert = cp.birkhoff_certificate(
+        GOLDEN, closed_arc(GOLDEN, R(1, 200), R(1, 10)), open_arc(GOLDEN, R(3, 10), R(6, 10)))
+    assert cert.m0 == R(1, 8) and cert.g.breakpoints[0][0] == R(1, 200)
+    _, _, argmin = global_extrema(birkhoff_sum(GOLDEN, cert.g, cert.N0))
+    rng = random.Random(40)
+    starts = [float(argmin)] + [rng.random() for _ in range(200)]
+    approx = float_birkhoff_min(GOLDEN, cert.g, cert.N0, starts)
+    assert abs(approx - float(cert.m0)) <= 1e-9
+    assert approx >= float(cert.m0) - 1e-9
+
+
 def test_birkhoff_certificate_errors():
     with pytest.raises(NotSeparated):
         cp.birkhoff_certificate(
@@ -164,8 +149,8 @@ def test_birkhoff_certificate_doubling_budget():
 
 
 def test_verify_certificate_window_budget():
-    # the cap admits S_N1, built by birkhoff_sum, but not the window at
-    # N1 + 1, which is built from S_N1 by one more sum
+    # the cap admits the window at N1 but no longer one; every length is
+    # held to the budget, also one the cocycle bound would settle
     cert = cp.birkhoff_certificate(GOLDEN, Region.empty(GOLDEN), open_arc(GOLDEN, ZERO, HALF))
     cap = cert.N1 * len(cert.g.breakpoints)
     start = perf_counter()
@@ -174,6 +159,22 @@ def test_verify_certificate_window_budget():
     with pytest.raises(BreakpointBudget, match="S_%d " % (2 * cert.N1)):
         cp.verify_certificate(GOLDEN, cert, Ns=(cert.N1, 2 * cert.N1), bp_cap=cap)
     assert perf_counter() - start < 1.0
+
+
+def test_verify_certificate_checks_every_budget_first(monkeypatch):
+    # the cap admits N0 but not N1, the shortest requested window, so
+    # verify_certificate refuses before it sums any window, N0's included
+    F = closed_arc(GOLDEN, ZERO, R(1, 10))
+    cert = cp.birkhoff_certificate(GOLDEN, F, open_arc(GOLDEN, R(3, 10), R(6, 10)))
+    assert cert.N0 < cert.N1
+    cap = cert.N0 * len(cert.g.breakpoints)
+
+    def summed(*args):
+        raise AssertionError("a window was summed before every budget was checked")
+
+    monkeypatch.setattr(cp, "birkhoff_min", summed)
+    with pytest.raises(BreakpointBudget, match="S_%d " % cert.N1):
+        cp.verify_certificate(GOLDEN, cert, bp_cap=cap)
 
 
 def build_every_window(system, cert, Ns=None, bp_cap=DEFAULT_BP_CAP):

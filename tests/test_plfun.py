@@ -7,10 +7,12 @@ from operator import itemgetter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyncomp.errors import BreakpointBudget, EmptyInput, NoGap
+from dyncomp.cli import float_birkhoff_min
+from dyncomp.errors import BreakpointBudget, EmptyInput, MixedAmbient, NoGap
 from dyncomp.plfun import (
     CylinderFunction,
     PLFunction,
+    birkhoff_min,
     birkhoff_sum,
     bump,
     difference,
@@ -526,3 +528,64 @@ def test_support_of_matches_the_constructor_form(D, data):
     n = data.draw(st.integers(-30, 30))
     for h in (f, translate_fn(system, f, n), sum_of([f, g]), minimum(f, g)):
         assert support_of(system, h).pieces == support_by_segments(system, h).pieces
+
+
+# -- exact window minima against the built sum and the float orbit sum
+
+
+@st.composite
+def window_functions(draw, D):
+    """g over Q(sqrt D): a constant, one kink of each sign, breakpoints on
+    one orbit (x, frac(x + m theta), ...) or any field_functions draw; the
+    first three with an abscissa at 0 half the time.  The seam segment is
+    sloped whenever the first and last values differ."""
+    theta = ROTATIONS[D].theta
+
+    def value():
+        return ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, D)
+
+    shape = draw(st.sampled_from(("constant", "one kink", "one orbit", "any")))
+    if shape == "any":
+        return draw(field_functions(D))
+    if shape == "constant":
+        return PLFunction.constant(value())
+    x = field_abscissa(draw, theta)
+    if shape == "one kink":
+        xs = [x, field_abscissa(draw, theta)]
+    else:
+        ms = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=3))
+        xs = [x] + [(x + theta * R(m)).frac() for m in ms]
+    if draw(st.booleans()):
+        xs.append(ZERO)
+    return PLFunction([(x, value()) for x in set(xs)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ROTATIONS)), st.data())
+def test_birkhoff_min_matches_the_built_sum(D, data):
+    system = ROTATIONS[D]
+    g = data.draw(window_functions(D))
+    N = data.draw(st.integers(1, 12) | st.integers(13, 300))
+    low, _, argmin = global_extrema(birkhoff_sum(system, g, N))
+    assert birkhoff_min(system, g, N) == low
+    # the float orbit sum from the argmin comes within 1e-9 of low / N,
+    # and from nowhere else below it
+    rng = random.Random(N)
+    starts = [float(argmin)] + [rng.random() for _ in range(8)]
+    assert abs(float_birkhoff_min(system, g, N, starts) - float(low) / N) <= 1e-9
+
+
+def test_birkhoff_min_errors():
+    g = PLFunction([(ZERO, ZERO), (R(1, 2), ONE)])
+    for N in (0, -3):
+        with pytest.raises(ValueError):
+            birkhoff_min(GOLDEN, g, N)
+    with pytest.raises(MixedAmbient):
+        birkhoff_min(Odometer([2, 3], truncation=2), g, 3)
+    root2 = ROTATIONS[2].theta
+    for mixed in (PLFunction([(ZERO, ZERO), (root2, ONE)]),
+                  PLFunction([(ZERO, ZERO), (R(1, 2), root2)])):
+        with pytest.raises(ValueError, match="incompatible quadratic fields"):
+            birkhoff_sum(GOLDEN, mixed, 3)
+        with pytest.raises(ValueError, match="incompatible quadratic fields"):
+            birkhoff_min(GOLDEN, mixed, 3)
