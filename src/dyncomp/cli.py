@@ -308,11 +308,10 @@ def cmd_thincover(args):
     depth = depth or DEFAULT_DEPTH
     if epsilon is not None:
         cover = leftover_cover(spec.system, F, U, epsilon, depth)
-        for j, (W, d) in enumerate(zip(cover.opens, cover.shifts)):
+        opens = cover.opens
+        for j, (W, d) in enumerate(zip(opens, cover.shifts)):
             print("piece %d shift %d open %s" % (j, d, _arc_text(W)))
-        total = sum(
-            (W.measure() for W in cover.opens), start=ExactScalar.rational(0)
-        )
+        total = sum((W.measure() for W in opens), start=ExactScalar.rational(0))
         print("mass %s epsilon %s" % (total, cover.epsilon))
         failures = verify_leftover_cover(spec.system, F, U, epsilon, cover)
     else:

@@ -49,10 +49,10 @@ from .plfun import (
 from .regions import (
     CylinderRegion,
     Region,
+    disjoint_inside,
     level_locator,
     measure_gap,
     outer_approx,
-    pairwise_disjoint,
     translate_region,
 )
 from .scalars import HALF, ONE, ZERO, ExactScalar
@@ -547,19 +547,14 @@ def verify_witness(system, C, U, witness) -> VerificationReport:
         if mn != ONE or mx != ONE:
             part_ok = False
             failures.append("sum over the closed set spans [%s, %s]" % (mn, mx))
-    translated = []
-    for i, (f, d) in enumerate(witness.entries):
-        sup = support_of(system, f)
-        translated.append(translate_region(system, sup, d))
-    nonempty = [r for r in translated if not r.is_empty]
-    disj_ok = pairwise_disjoint(system, nonempty)
+    translated = [translate_region(system, support_of(system, f), d)
+                  for f, d in witness.entries]
+    disj_ok, inside_ok = disjoint_inside(system, translated, U)
     if not disj_ok:
         failures.append("translated supports overlap")
-    inside_ok = True
-    for i, sup in enumerate(translated):
-        if not U.contains_region(sup):
-            inside_ok = False
-            failures.append("translated support %d leaves the open set" % i)
+    if not inside_ok:
+        failures.extend("translated support %d leaves the open set" % i
+                        for i, sup in enumerate(translated) if not U.contains_region(sup))
     clauses = (
         ("ranges within [0, 1]", ranges_ok),
         ("sums to 1 on the closed set", part_ok),

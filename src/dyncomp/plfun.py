@@ -28,43 +28,13 @@ from .systems import CircleRotation, Odometer
 from .regions import CylinderRegion, Region
 
 
-def _collinear(p, q, r):
-    # q lies on the segment p -> r (abscissae already lifted, increasing)
-    (xp, vp), (xq, vq), (xr, vr) = p, q, r
-    return ((vq - vp) * (xr - xq) - (vr - vq) * (xq - xp)).sign() == 0
-
-
-def _prune(pts):
-    first_v = pts[0][1]
-    if all(v == first_v for _, v in pts):
-        return [(ZERO, first_v)]
-    stack = []
-    for p in pts:
-        stack.append(p)
-        while len(stack) >= 3 and _collinear(stack[-3], stack[-2], stack[-1]):
-            del stack[-2]
-    # the seam: first and last points may be redundant against wrapped neighbours
-    changed = True
-    while changed and len(stack) >= 3:
-        changed = False
-        xf, vf = stack[0]
-        if _collinear(stack[-2], stack[-1], (xf + ONE, vf)):
-            stack.pop()
-            changed = True
-            if len(stack) < 3:
-                break
-        xl, vl = stack[-1]
-        if _collinear((xl - ONE, vl), stack[0], stack[1]):
-            stack.pop(0)
-            changed = True
-    return stack
-
-
 class PLFunction:
     """Continuous piecewise-linear function on the circle, canonical form.
 
-    Collinear breakpoints are pruned on construction, so equal functions
-    have identical breakpoint tuples; constants normalize to ((0, c),).
+    The constructor works out each segment's slope once and keeps a
+    breakpoint only where the slopes on its two sides differ, storing
+    those differences as the jumps; so equal functions have identical
+    breakpoint tuples, and constants normalize to ((0, c),).
     """
 
     __slots__ = ("breakpoints", "_xs", "_jp")
@@ -79,19 +49,28 @@ class PLFunction:
         for (x0, _), (x1, _) in zip(pts, pts[1:]):
             if x0 == x1:
                 raise ValueError("duplicate breakpoint abscissa %r" % (x0,))
-        pts = _prune(pts)
+        # each segment's slope, the one wrapping 1 -> 0 last; a breakpoint
+        # stays where the slopes on its two sides differ
+        ends = pts[1:] + [(pts[0][0] + ONE, pts[0][1])]
+        s = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(pts, ends)]
+        jp = [b - a for a, b in zip(s[-1:] + s, s)]
+        kinks = [i for i, j in enumerate(jp) if j]
+        if kinks:
+            pts, jp = [pts[i] for i in kinks], [jp[i] for i in kinks]
+        else:
+            pts, jp = [(ZERO, pts[0][1])], [ZERO]
         object.__setattr__(self, "breakpoints", tuple(pts))
         object.__setattr__(self, "_xs", tuple(p[0] for p in pts))
-        object.__setattr__(self, "_jp", None)
+        object.__setattr__(self, "_jp", jp)
 
     @classmethod
-    def _canonical(cls, pts, jumps=None) -> "PLFunction":
+    def _canonical(cls, pts, jumps) -> "PLFunction":
         """A PLFunction from breakpoints that are canonical by construction:
         exact, abscissae strictly increasing in [0, 1), the slope changing
         at every one of them (or the single point (0, c)).  Skips the
-        sort, the duplicate check and the pruning of the public
+        sort, the duplicate check and the slope pass of the public
         constructor; anything parsed or hand-built goes through that.
-        jumps, when given, are what the `jumps` property would compute."""
+        jumps are the slope jumps at pts, which the caller knows."""
         f = object.__new__(cls)
         object.__setattr__(f, "breakpoints", tuple(pts))
         object.__setattr__(f, "_xs", tuple(p[0] for p in pts))
@@ -129,14 +108,8 @@ class PLFunction:
 
     @property
     def jumps(self):
-        """The slope jump at each breakpoint (zero only for a constant);
-        canonical constructions carry them, otherwise they are computed
-        from the breakpoints once and kept."""
-        if self._jp is None:
-            bps = self.breakpoints
-            ends = bps[1:] + ((bps[0][0] + ONE, bps[0][1]),)
-            s = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, ends)]
-            object.__setattr__(self, "_jp", [b - a for a, b in zip(s[-1:] + s, s)])
+        """The slope jump at each breakpoint (zero only for a constant),
+        worked out by every construction."""
         return self._jp
 
     def evaluate(self, x) -> ExactScalar:

@@ -444,6 +444,21 @@ def pairwise_disjoint(system, regions) -> bool:
     return max(icov) <= 1 and max(pcov) <= 1
 
 
+def disjoint_inside(system, regions, U):
+    """(pairwise disjoint, all inside U) for canonical regions, from one
+    sweep of U against the soup on the circle, or from the union of the
+    index sets on an odometer."""
+    _ambient(system, U)
+    if isinstance(system, Odometer):
+        union, total = _index_union(system, regions)
+        return len(union) == total, union <= U.indices
+    soup = _pieces(system, regions)
+    pts, (ucells, cells) = _critical_points([U.pieces, soup])
+    ucov, (si, sp) = _coverage(len(pts), U.pieces, ucells), _coverage(len(pts), soup, cells)
+    inside = all(u or not s for us, ss in zip(ucov, (si, sp)) for u, s in zip(us, ss))
+    return max(si) <= 1 and max(sp) <= 1, inside
+
+
 def covers_space(system, regions) -> bool:
     if isinstance(system, Odometer):
         return len(_index_union(system, regions)[0]) == system.resolution

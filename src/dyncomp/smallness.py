@@ -30,6 +30,7 @@ from .regions import (
     CylinderRegion,
     Region,
     arc_point_gap,
+    disjoint_inside,
     inner_approx,
     pairwise_disjoint,
     region_gap,
@@ -61,13 +62,25 @@ class ThinCover:
 
 @dataclass(frozen=True)
 class LeftoverCover:
-    closed: tuple  # F_j around the covered points
-    tighter: tuple  # T_j around the targets
-    mids: tuple  # V_j
-    opens: tuple  # W_j, pairwise disjoint, total mass < epsilon
+    """Arcs W_j > V_j > T_j of radius w_j, w_j/2, w_j/4 around each target
+    t_j and F_j of radius w_j/8 around each point x_j, built when read."""
+
+    system: object
+    points: tuple  # x_j
+    targets: tuple  # t_j
+    widths: tuple  # w_j
     functions: tuple
     shifts: tuple
     epsilon: ExactScalar
+
+    closed = property(lambda c: c._arcs(c.points, 8, True))  # F_j, closed
+    tighter = property(lambda c: c._arcs(c.targets, 4))  # T_j
+    mids = property(lambda c: c._arcs(c.targets, 2))  # V_j
+    opens = property(lambda c: c._arcs(c.targets, 1))  # W_j, disjoint, mass < epsilon
+
+    def _arcs(self, centres, k, closed=False):
+        return tuple(Region.interval(self.system, c - w / k, c + w / k, closed, closed)
+                     for c, w in zip(centres, self.widths))
 
 
 def _point_list(system, F):
@@ -460,10 +473,11 @@ def verify_thin_cover(system, F, U, cover):
             failures.append("a point escapes its covering set")
     images = [translate_region(system, open_j, d)
               for open_j, d in zip(cover.opens, cover.shifts)]
-    for img in images:
-        if not U.contains_region(img):
-            failures.append("a translated cover piece leaves the target")
-    if not pairwise_disjoint(system, images):
+    disjoint, inside = disjoint_inside(system, images, U)
+    if not inside:
+        failures.extend("a translated cover piece leaves the target"
+                        for img in images if not U.contains_region(img))
+    if not disjoint:
         failures.append("translated cover pieces overlap")
     if points:
         if not union_many(system, list(cover.opens)).contains_region(cover.nbhd):
@@ -488,10 +502,11 @@ def verify_closed_thin_cover(system, F, U, items):
                 failures.append("a point escapes the closed cover")
                 break
         images = [translate_region(system, Fj, d) for Fj, d in items]
-        for img in images:
-            if not U.contains_region(img):
-                failures.append("a translated closed piece leaves the target")
-        if not pairwise_disjoint(system, images):
+        disjoint, inside = disjoint_inside(system, images, U)
+        if not inside:
+            failures.extend("a translated closed piece leaves the target"
+                            for img in images if not U.contains_region(img))
+        if not disjoint:
             failures.append("translated closed pieces overlap")
     return failures
 
@@ -509,7 +524,8 @@ def leftover_cover(system, F, U, eps, search_depth: int = DEFAULT_DEPTH) -> Left
     each pair (pullback of closure(V_j), pullback of W_j), arcs of radius
     w/2 and w around x_j, is `trapezoid(x_j, w)`, built with no region;
     the trapezoids enter a min-cascade, so the sum is exactly 1 on the
-    union of the pulled-back closure(V_j).  The cover is not self-checked:
+    union of the pulled-back closure(V_j).  The cover keeps x_j, t_j and w
+    and builds its regions only when read.  It is not self-checked:
     callers run verify_leftover_cover, or verify_witness on the witness
     the cover ends up in.
     """
@@ -522,34 +538,23 @@ def leftover_cover(system, F, U, eps, search_depth: int = DEFAULT_DEPTH) -> Left
         raise EmptyInput("target open set is empty")
     points = _point_list(system, F)
     if not points:
-        return LeftoverCover((), (), (), (), (), (), eps)
+        return LeftoverCover(system, (), (), (), (), (), eps)
     assigned = _assign_targets(system, points, U, search_depth)
-    targets = [t for t, _ in assigned]
+    targets = tuple(t for t, _ in assigned)
     pair = _min_circle_gap(targets)
     count = ExactScalar.rational(len(points))
     budget = eps / (count * 2)
-    closed = []
-    tighter = []
-    mids = []
-    opens = []
-    shifts = []
-    gs = []
-    for x, (t, d), w in zip(points, assigned, _target_gaps(targets, U)):
+    widths = []
+    for w in _target_gaps(targets, U):
         if pair is not None and pair < w:
             w = pair
         if budget < w:
             w = budget
-        w = w / 2
-        opens.append(Region.interval(system, t - w, t + w, False, False))
-        mids.append(Region.interval(system, t - w / 2, t + w / 2, False, False))
-        tighter.append(Region.interval(system, t - w / 4, t + w / 4, False, False))
-        closed.append(Region.interval(system, x - w / 8, x + w / 8))
-        shifts.append(d)
-        gs.append(trapezoid(x, w))
-    fs = min_cascade(system, gs)
+        widths.append(w / 2)
+    fs = min_cascade(system, [trapezoid(x, w) for x, w in zip(points, widths)])
     return LeftoverCover(
-        tuple(closed), tuple(tighter), tuple(mids), tuple(opens),
-        tuple(fs), tuple(shifts), eps,
+        system, tuple(points), targets, tuple(widths),
+        tuple(fs), tuple(d for _, d in assigned), eps,
     )
 
 
@@ -560,13 +565,13 @@ def verify_leftover_cover(system, F, U, eps, cover):
     n = len(cover.functions)
     if not points and n == 0:
         return failures
-    covered = union_many(system, list(cover.closed)) if cover.closed else Region.empty(system)
+    closed, mids, opens = cover.closed, cover.mids, cover.opens
+    covered = union_many(system, list(closed)) if closed else Region.empty(system)
     for x in points:
         if not covered.contains_point(x):
             failures.append("clause 1: a point escapes the closed cover")
             break
-    for Fj, T, V, W, d in zip(cover.closed, cover.tighter, cover.mids,
-                              cover.opens, cover.shifts):
+    for Fj, T, V, W, d in zip(closed, cover.tighter, mids, opens, cover.shifts):
         img = translate_region(system, Fj, d)
         if not T.contains_region(img):
             failures.append("clause 2: pullback not inside T")
@@ -581,12 +586,12 @@ def verify_leftover_cover(system, F, U, eps, cover):
         ones = union_many(
             system,
             [translate_region(system, V.closure(), -d)
-             for V, d in zip(cover.mids, cover.shifts)],
+             for V, d in zip(mids, cover.shifts)],
         )
         mn, mx = extrema_on(total, ones)
         if mn != ONE or mx != ONE:
             failures.append("clause 3: sum is not 1 on the pulled-back mids")
-        for f, W, d in zip(cover.functions, cover.opens, cover.shifts):
+        for f, W, d in zip(cover.functions, opens, cover.shifts):
             sup = support_of(system, f)
             if not W.contains_region(translate_region(system, sup, d)):
                 failures.append("clause 4: translated support leaves W")
@@ -594,11 +599,11 @@ def verify_leftover_cover(system, F, U, eps, cover):
         hi_ok = all((f.range_bounds()[1] - ONE).sign() <= 0 for f in cover.functions)
         if not (lo_ok and hi_ok):
             failures.append("clause 4: function range leaves [0, 1]")
-    if cover.opens:
-        if not pairwise_disjoint(system, list(cover.opens)):
+    if opens:
+        if not pairwise_disjoint(system, list(opens)):
             failures.append("clause 5: W pieces overlap")
         mass = ZERO
-        for W in cover.opens:
+        for W in opens:
             mass = mass + W.measure()
         if not mass < ExactScalar.coerce(eps):
             failures.append("clause 5: W mass reaches epsilon")

@@ -490,6 +490,33 @@ def test_dynamic_comparison_mutations_rejected():
     assert dict(rep.clauses)["translated supports pairwise disjoint"] is False
 
 
+def test_verify_witness_names_every_entry_pushed_out():
+    # the shift push of criterion 5's kind 2, on two entries at once: the
+    # one sweep finds the clause false, the per-entry pass names both
+    C = closed_arc(GOLDEN, ZERO, R(1, 8))
+    U = open_arc(GOLDEN, R(1, 4), HALF)
+    w = cp.dynamic_comparison(GOLDEN, C, U)
+    assert len(w.entries) == 271
+    entries = list(w.entries)
+    for j in (1, 270):
+        entries[j] = (entries[j][0], entries[j][1] + 1)
+    rep = cp.verify_witness(GOLDEN, C, U, dataclasses.replace(w, entries=tuple(entries)))
+    assert rep.failures == (
+        "translated support 1 leaves the open set",
+        "translated support 270 leaves the open set",
+    )
+    assert [ok for _, ok in rep.clauses] == [True, True, True, False]
+    # entry 176 takes entry 0's shift too: the overlap comes first
+    entries[176] = (entries[176][0], entries[0][1])
+    rep = cp.verify_witness(GOLDEN, C, U, dataclasses.replace(w, entries=tuple(entries)))
+    assert rep.failures == (
+        "translated supports overlap",
+        "translated support 1 leaves the open set",
+        "translated support 270 leaves the open set",
+    )
+    assert [ok for _, ok in rep.clauses] == [True, True, False, False]
+
+
 def test_verify_witness_reports_clauses():
     C = Region.points(GOLDEN, [R(1, 10), R(7, 10)])
     U = open_arc(GOLDEN, ZERO, R(4, 5))

@@ -32,6 +32,7 @@ from dyncomp.plfun import (
 from dyncomp.regions import CylinderRegion, Region, translate_region
 from dyncomp.scalars import ONE, ZERO, ExactScalar, golden_theta
 from dyncomp.systems import Odometer, CircleRotation
+from prune_oracle import pruned
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -443,7 +444,7 @@ def slope_sum_of(fns):
     slopes = [slopes_from_breakpoints(f) for f in fns]
     value = sum((f.evaluate(x0) for f in fns), ZERO)
     slope = sum((s[-1] for s in slopes), ZERO)
-    out, at = [], x0
+    out, kinks, at = [], [], x0
     for x, owners in slope_merged(fns):
         new = slope
         for fi, i in owners:
@@ -452,8 +453,9 @@ def slope_sum_of(fns):
             value = value + slope * (x - at)
             at = x
             out.append((x, value))
+            kinks.append(new - slope)
             slope = new
-    return PLFunction._canonical(out or [(ZERO, value)])
+    return PLFunction._canonical(out or [(ZERO, value)], kinks or [ZERO])
 
 
 def support_by_segments(system, f):
@@ -589,3 +591,81 @@ def test_birkhoff_min_errors():
             birkhoff_sum(GOLDEN, mixed, 3)
         with pytest.raises(ValueError, match="incompatible quadratic fields"):
             birkhoff_min(GOLDEN, mixed, 3)
+
+
+# -- the one-pass constructor against the collinear-pruning one it replaced
+
+
+@st.composite
+def breakpoint_lists(draw, D):
+    """Raw breakpoint lists over Q(sqrt D), shuffled: a constant through
+    several points, one point away from 0, or a few points with collinear
+    runs inserted into their segments, the one that wraps 1 -> 0 included;
+    some lists are then spoiled by an empty list, a duplicate abscissa or
+    an abscissa outside [0, 1)."""
+    theta = ROTATIONS[D].theta
+
+    def value():
+        if draw(st.booleans()):
+            return ZERO
+        return ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, D)
+
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        v = value()
+        pts = {field_abscissa(draw, theta): v for _ in range(draw(st.integers(1, 5)))}
+    elif kind == 1:
+        pts = {R(draw(st.integers(1, 7)), 8) if draw(st.booleans())
+               else ONE - theta / R(draw(st.integers(2, 64))): value()}
+    else:
+        pts = {field_abscissa(draw, theta): value() for _ in range(draw(st.integers(1, 5)))}
+        bps = sorted(pts.items(), key=itemgetter(0))
+        for _ in range(draw(st.integers(0, 4))):
+            # index -1 is the segment through the seam
+            i = draw(st.integers(-1, len(bps) - 1)) % len(bps)
+            xa, va = bps[i]
+            xb, vb = bps[i + 1] if i + 1 < len(bps) else (bps[0][0] + ONE, bps[0][1])
+            for _ in range(draw(st.integers(1, 3))):
+                t = R(draw(st.integers(1, 15)), 16)
+                pts[(xa + (xb - xa) * t).frac()] = va + (vb - va) * t
+    pts = draw(st.permutations(list(pts.items())))
+    spoil = draw(st.integers(0, 7))
+    if spoil == 0:
+        return []
+    if spoil == 1:
+        return pts + [(draw(st.sampled_from(pts))[0], value())]
+    if spoil == 2:
+        return pts + [(draw(st.sampled_from([ONE, -theta / 8, theta + 1])), value())]
+    return pts
+
+
+def assert_matches_the_pruning_oracle(pts):
+    try:
+        bps, jumps = pruned(pts)
+    except (EmptyInput, ValueError) as want:
+        with pytest.raises(type(want)) as got:
+            PLFunction(pts)
+        assert str(got.value) == str(want)
+        return
+    f = PLFunction(pts)
+    assert f.breakpoints == bps
+    assert f._xs == tuple(x for x, _ in bps)
+    assert f.jumps == jumps
+    assert (len(bps) == 1) == all(v == bps[0][1] for _, v in pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ROTATIONS)), st.data())
+def test_constructor_matches_the_pruning_oracle(D, data):
+    assert_matches_the_pruning_oracle(data.draw(breakpoint_lists(D)))
+
+
+def test_constructor_matches_the_pruning_oracle_on_fixed_lists():
+    square = [(ZERO, ZERO), (R(1, 4), ONE), (R(1, 2), ZERO), (R(3, 4), -ONE)]
+    # kinks at 1/4 and 3/4 only: the rising run passes through the seam
+    seam = [(R(7, 8), R(-1, 8)), (R(1, 8), R(1, 8)), (ZERO, ZERO), (R(1, 4), R(1, 4)),
+            (R(1, 2), ZERO), (R(3, 4), R(-1, 4))]
+    for pts in (square, seam, [(R(1, 3), R(2))], [(ZERO, ONE), (R(1, 2), ONE)], [],
+                square + [(R(1, 2), ONE)], seam + [(ONE, ZERO)], [(R(-1, 2), ZERO)]):
+        assert_matches_the_pruning_oracle(pts)
+    assert PLFunction(seam).breakpoints == ((R(1, 4), R(1, 4)), (R(3, 4), R(-1, 4)))

@@ -14,6 +14,7 @@ from dyncomp.regions import (
     Region,
     arc_point_gap,
     covers_space,
+    disjoint_inside,
     inner_approx,
     measure,
     measure_gap,
@@ -788,3 +789,76 @@ def test_interval_matches_the_sweep(D, data):
     lc, hc = data.draw(st.booleans()), data.draw(st.booleans())
     got = Region.interval(system, lo, lo + length, lc, hc)
     assert got.pieces == Region(system, [(lo, lo + length, lc, hc)]).pieces
+
+
+# -- one sweep for "pairwise disjoint" and "inside U" together
+
+
+@st.composite
+def touching_regions(draw):
+    """Circle regions of up to two lifted arcs each (none: an empty
+    region); an arc often starts where the arc before it ends, so closed
+    ends touch, and points, arcs through 0 and whole circles come from
+    lifted_arcs."""
+    regions, end = [], None
+    for _ in range(draw(st.integers(0, 5))):
+        arcs = []
+        for _ in range(draw(st.integers(0, 2))):
+            lo, hi, lc, hc = draw(lifted_arcs())
+            if end is not None and draw(st.booleans()):
+                lo, hi = end, end + (hi - lo)
+            arcs.append((lo, hi, lc, hc))
+            end = hi
+        regions.append(Region(GOLDEN, arcs))
+    return regions
+
+
+def assert_one_sweep(regions, U):
+    assert disjoint_inside(GOLDEN, regions, U) == (
+        pairwise_disjoint(GOLDEN, regions), all(U.contains_region(r) for r in regions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(touching_regions(), st.data())
+def test_disjoint_inside_matches_pairwise_and_containment(regions, data):
+    kind = data.draw(st.integers(0, 3))
+    if kind == 0:
+        U = data.draw(circle_regions)
+    elif kind == 1:  # a union of some of the regions, so containment often holds
+        U = union_many(GOLDEN, regions[:data.draw(st.integers(0, len(regions)))]
+                       + [data.draw(circle_regions)])
+    else:
+        U = Region.empty(GOLDEN) if kind == 2 else Region.full(GOLDEN)
+    assert_one_sweep(regions, U)
+
+
+def test_disjoint_inside_on_fixed_soups():
+    full, empty, half = Region.full(GOLDEN), Region.empty(GOLDEN), interval(GOLDEN, 0, Fraction(1, 2))
+    rest = interval(GOLDEN, Fraction(1, 2), 1, False, False)
+    assert disjoint_inside(GOLDEN, [full], full) == (True, True)
+    assert disjoint_inside(GOLDEN, [], empty) == (True, True)
+    assert disjoint_inside(GOLDEN, [empty, half], rest) == (True, False)
+    assert disjoint_inside(GOLDEN, [half, rest], full) == (True, True)
+    # closed ends that touch at 1/2 overlap there, and the point 0 leaves
+    # an open set that stops short of the seam
+    assert disjoint_inside(GOLDEN, [half, interval(GOLDEN, Fraction(1, 2), 1, True, False)],
+                           interval(GOLDEN, 0, 1, False, False)) == (False, False)
+    for regions in ([full, empty], [half, rest, Region.points(GOLDEN, [0])]):
+        for U in (full, empty, half, rest):
+            assert_one_sweep(regions, U)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 11), max_size=5), max_size=5),
+       st.sets(st.integers(0, 11)))
+def test_disjoint_inside_on_odometers_matches_index_sets(sets, target):
+    odo = Odometer([2, 3, 2])
+    regions = [CylinderRegion(odo, s) for s in sets]
+    disjoint = all(not (a & b) for i, a in enumerate(sets) for b in sets[i + 1:])
+    assert disjoint_inside(odo, regions, CylinderRegion(odo, target)) == (
+        disjoint, all(s <= target for s in sets))
+
+
+def test_disjoint_inside_checks_the_ambient():
+    with pytest.raises(MixedAmbient):
+        disjoint_inside(GOLDEN, [], Region.full(CircleRotation(ExactScalar(0, 1, 2, 2))))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -161,6 +162,65 @@ def test_leftover_cover_frozen():
     assert cover.shifts == (-1,)
     assert cover.opens[0].measure() == R(1, 20)
     assert sm.verify_leftover_cover(GOLDEN, F, U, eps, cover) == []
+
+
+def test_leftover_cover_regions_on_demand():
+    # the four region tuples, built when read from the points, the targets
+    # and the half-widths, are the arcs the cover once stored; the point 0
+    # splits its closed arc at the seam, and two targets lie in Q(sqrt 5)
+    F = Region.points(GOLDEN, [ZERO, R(1, 10), R(2, 5), R(1, 2)])
+    U = open_arc(GOLDEN, R(3, 10), R(6, 10))
+    cover = sm.leftover_cover(GOLDEN, F, U, R(1, 10))
+    assert cover.shifts == (-1, -1, 0, 0)
+
+    def S(a, b, c):
+        return ExactScalar(a, b, c, 5)
+
+    def arcs(*ends, closed=False):
+        return tuple(Region.interval(GOLDEN, lo, hi, closed, closed) for lo, hi in ends)
+
+    assert cover.opens == arcs((S(239, -80, 160), S(241, -80, 160)),
+                               (S(51, -16, 32), S(257, -80, 160)),
+                               (R(63, 160), R(13, 32)), (R(79, 160), R(81, 160)))
+    assert cover.mids == arcs((S(479, -160, 320), S(481, -160, 320)),
+                              (S(511, -160, 320), S(513, -160, 320)),
+                              (R(127, 320), R(129, 320)), (R(159, 320), R(161, 320)))
+    assert cover.tighter == arcs((S(959, -320, 640), S(961, -320, 640)),
+                                 (S(1023, -320, 640), S(205, -64, 128)),
+                                 (R(51, 128), R(257, 640)), (R(319, 640), R(321, 640)))
+    assert [r.pieces for r in cover.closed] == [
+        ((ZERO, R(1, 1280), True, True), (R(1279, 1280), ONE, True, False)),
+        ((R(127, 1280), R(129, 1280), True, True),),
+        ((R(511, 1280), R(513, 1280), True, True),),
+        ((R(639, 1280), R(641, 1280), True, True),),
+    ]
+    assert sm.verify_leftover_cover(GOLDEN, F, U, R(1, 10), cover) == []
+
+
+def test_thin_cover_failures_keep_their_order():
+    F = Region.points(GOLDEN, [ZERO, R(1, 10), R(2, 5), R(1, 2)])
+    U = open_arc(GOLDEN, R(3, 10), R(6, 10))
+    cover = sm.thin_cover(GOLDEN, F, U)
+    assert cover.shifts == (-1, -1, 0, 0)
+    leaves = "a translated cover piece leaves the target"
+    closed_leaves = "a translated closed piece leaves the target"
+    for shifts, count in (((0, 0, 0, 0), 2), ((-1, -1, 1, 0), 1)):
+        bad = dataclasses.replace(cover, shifts=shifts)
+        assert sm.verify_thin_cover(GOLDEN, F, U, bad) == [leaves] * count
+        items = [(Fj, d) for (Fj, _), d in zip(sm.closed_thin_cover(GOLDEN, F, U), shifts)]
+        assert sm.verify_closed_thin_cover(GOLDEN, F, U, items) == [closed_leaves] * count
+    # fat arcs around the points: their images overlap, and the widest leave U
+    points = [ZERO, R(1, 10), R(2, 5), R(1, 2)]
+    for radii, count in (((R(1, 8),) + (R(1, 20),) * 3, 1),
+                         ((R(1, 8), R(1, 20), R(1, 20), R(1, 8)), 2)):
+        opens = tuple(open_arc(GOLDEN, x - r, x + r) for x, r in zip(points, radii))
+        bad = dataclasses.replace(cover, opens=opens)
+        assert sm.verify_thin_cover(GOLDEN, F, U, bad) == (
+            [leaves] * count + ["translated cover pieces overlap"])
+        items = [(Region.interval(GOLDEN, x - r, x + r), d)
+                 for x, r, d in zip(points, radii, cover.shifts)]
+        assert sm.verify_closed_thin_cover(GOLDEN, F, U, items) == (
+            [closed_leaves] * count + ["translated closed pieces overlap"])
 
 
 def test_leftover_cover_orbit_cluster():
