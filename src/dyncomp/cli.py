@@ -252,9 +252,7 @@ def cmd_verify(args):
         witness = ComparisonWitness(
             inputs=(C, U),
             entries=cf.entries,
-            provenance=ComparisonProvenance(
-                certificate=None, tower=(), tables=(), leftover=0
-            ),
+            provenance=ComparisonProvenance(),
         )
         report = verify_witness(spec.system, C, U, witness)
         _print_report(report)

@@ -110,10 +110,10 @@ class MatchingTable:
 
 @dataclass(frozen=True)
 class ComparisonProvenance:
-    certificate: object
-    tower: tuple  # ((height, cell measure), ...) per column
-    tables: tuple
-    leftover: int  # number of boundary points handed to the leftover cover
+    certificate: object = None
+    tower: tuple = ()  # ((height, cell measure), ...) per column
+    tables: tuple = ()
+    leftover: int = 0  # number of boundary points handed to the leftover cover
     report: object = None  # the VerificationReport of the construction's check
 
 
@@ -132,10 +132,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return all(passed for _, passed in self.clauses)
-
-
-class _Retry(Exception):
-    """Internal: the tower was too short for the certificate; rebuild taller."""
 
 
 # -- Birkhoff-average certificates
@@ -376,9 +372,7 @@ def _finite_comparison(system, C, U, search_depth):
     witness = ComparisonWitness(
         inputs=(C, U),
         entries=tuple(zip(cover.functions, cover.shifts)),
-        provenance=ComparisonProvenance(
-            certificate=None, tower=(), tables=(), leftover=len(points)
-        ),
+        provenance=ComparisonProvenance(leftover=len(points)),
     )
     return _verified(system, C, U, witness, "point witness")
 
@@ -395,7 +389,7 @@ def _attempt(system, C, U, U0, cert, margins, N_base, search_depth):
     matched = Region(system, [(lo, hi, False, False) for (lo, hi), _ in levels])
     leftover_region = CC.minus(matched)
     if not leftover_region.interior().is_empty:
-        raise _Retry("matched levels leave an arc of C uncovered")
+        raise ColumnDeficit("matched levels leave an arc of C uncovered")
     points = leftover_region.point_list()
 
     room = U.minus(U0.closure())
@@ -436,9 +430,7 @@ def dynamic_comparison(
         witness = ComparisonWitness(
             inputs=(C, U),
             entries=((PLFunction.constant(ZERO), 0),),
-            provenance=ComparisonProvenance(
-                certificate=None, tower=(), tables=(), leftover=0
-            ),
+            provenance=ComparisonProvenance(),
         )
         return _verified(system, C, U, witness, "empty witness")
     fat = CC.interior()
@@ -455,7 +447,7 @@ def dynamic_comparison(
     for _ in range(3):
         try:
             witness = _attempt(system, C1, U, U0, cert, margins, N_base, search_depth)
-        except (_Retry, ColumnDeficit, SearchExhausted) as exc:
+        except (ColumnDeficit, SearchExhausted) as exc:
             failure = exc
             N_base *= 3
             continue
@@ -466,9 +458,7 @@ def dynamic_comparison(
             "witness verification failed: " + "; ".join(report.failures)
         )
         N_base *= 3
-    if not isinstance(failure, _Retry):
-        raise failure
-    raise ColumnDeficit(str(failure))
+    raise failure
 
 
 # -- clopen comparison on odometers

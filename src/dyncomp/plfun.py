@@ -3,8 +3,8 @@
 A PLFunction is a finite breakpoint list ((x, value), ...) with abscissae
 strictly increasing in [0, 1); between consecutive breakpoints the function
 interpolates linearly, wrapping 1 -> 0.  Everything is ExactScalar, so
-lattice operations, Birkhoff sums, extrema, integrals and partitions of
-unity come out with no rounding at all.
+lattice operations, Birkhoff sums, extrema, integrals, bumps and the
+min-cascade come out with no rounding at all.
 
 Odometer analogues are locally constant: CylinderFunction holds one exact
 value per level-n cylinder and the PL machinery degenerates to vectors.
@@ -556,7 +556,7 @@ def integral(system, f) -> ExactScalar:
     return total
 
 
-# -- bumps and partitions of unity
+# -- bumps and the min-cascade
 
 
 def bump(F, W) -> PLFunction:

@@ -968,8 +968,11 @@ def outer_approx(system, F: Region, eps) -> Region:
         return Region.empty(system)
     if F.is_full:
         return Region.full(system)
-    comp = F.complement()
-    arcs = F.logical_arcs()
-    gaps = min((hi - lo for lo, hi, _, _ in comp.logical_arcs()))
-    delta = min(eps, gaps / 2) / (4 * len(arcs))
-    return Region(system, [(lo - delta, hi + delta, False, False) for lo, hi, _, _ in arcs])
+    gaps = min((hi - lo for lo, hi, _, _ in F.complement().logical_arcs()))
+    delta = min(eps, gaps / 2) / (4 * len(F.logical_arcs()))
+    return _widened(system, F, delta)
+
+
+def _widened(system, R, m):
+    """The open arcs reaching m beyond each logical arc of R."""
+    return Region(system, [(lo - m, hi + m, False, False) for lo, hi, _, _ in R.logical_arcs()])

@@ -24,15 +24,15 @@ from .errors import (
     UnprovenInput,
 )
 from .scalars import ExactScalar, ONE, ZERO
-from .systems import CircleRotation, Odometer, TorusRotation, three_gap
+from .systems import CircleRotation, Odometer, TorusRotation, circle_norm, three_gap
 from .regions import (
     BoxRegion,
     CylinderRegion,
     Region,
     arc_point_gap,
+    _widened,
     disjoint_inside,
     inner_approx,
-    pairwise_disjoint,
     region_gap,
     translate_region,
     union_many,
@@ -417,49 +417,65 @@ def _target_gaps(targets, U):
     return [arc_point_gap(t, rest) for t in targets]
 
 
-def thin_cover(system, F, U, search_depth: int = DEFAULT_DEPTH) -> ThinCover:
-    """Open cover of a finite set whose translates sit disjointly inside U.
-
-    Each point x gets the least |d| with h^d(x) in U, skipping shifts whose
-    target is already taken; neighborhood radii are half the least pairwise
-    target distance, halved again so closures stay disjoint.
+def _plan(system, F, U, search_depth, kind, eps=None):
+    """(points, targets, shifts, spans) for a cover of the finite set F
+    pushed into U.  Each span is the least of its target's distance to U's
+    complement, the least pairwise target gap and, given eps, eps/2n for n
+    points, so open arcs of radius span/2 about the targets are disjoint
+    and inside U.
     """
     if not isinstance(system, CircleRotation):
-        raise MixedAmbient("thin covers are built over circle rotations")
+        raise MixedAmbient(kind + " are built over circle rotations")
     if U.is_empty:
         raise EmptyInput("target open set is empty")
     points = _point_list(system, F)
     if not points:
-        return ThinCover((), (), Region.empty(system))
+        return (), (), (), ()
     assigned = _assign_targets(system, points, U, search_depth)
-    targets = [t for t, _ in assigned]
+    targets = tuple(t for t, _ in assigned)
+    caps = [] if eps is None else [eps / (2 * len(points))]
     pair = _min_circle_gap(targets)
-    radii = []
-    for g in _target_gaps(targets, U):
-        r = g if pair is None else (pair if pair < g else g)
-        radii.append(r / 2 / 2)
-    opens = tuple(
-        Region(system, [(x - r, x + r, False, False)])
-        for (x, r) in zip(points, radii)
-    )
-    nbhd = union_many(
-        system,
-        [Region(system, [(x - r / 2, x + r / 2, False, False)])
-         for (x, r) in zip(points, radii)],
-    )
-    return ThinCover(opens, tuple(d for _, d in assigned), nbhd)
+    if pair is not None:
+        caps.append(pair)
+    spans = tuple(min([g] + caps) for g in _target_gaps(targets, U))
+    return points, targets, tuple(d for _, d in assigned), spans
+
+
+def thin_cover(system, F, U, search_depth: int = DEFAULT_DEPTH) -> ThinCover:
+    """Open cover of a finite set whose translates sit disjointly inside U.
+
+    Each point x gets the least |d| with h^d(x) in U, skipping shifts whose
+    target is already taken; the arc about x has radius span/4 (see
+    `_plan`), and the neighborhood arc span/8, so closures stay disjoint.
+    """
+    points, _, shifts, spans = _plan(system, F, U, search_depth, "thin covers")
+    opens = tuple(Region.interval(system, x - s / 4, x + s / 4, False, False)
+                  for x, s in zip(points, spans))
+    nbhd = union_many(system, [Region.interval(system, x - s / 8, x + s / 8, False, False)
+                               for x, s in zip(points, spans)])
+    return ThinCover(opens, shifts, nbhd)
 
 
 def closed_thin_cover(system, F, U, search_depth: int = DEFAULT_DEPTH):
-    """Closed shrunken version: closures of the half-radius neighborhoods."""
-    cover = thin_cover(system, F, U, search_depth)
-    points = _point_list(system, F)
-    out = []
-    for x, open_j, d in zip(points, cover.opens, cover.shifts):
-        (a, b, _, _) = open_j.logical_arcs()[0]
-        quarter = (b - a) / 4
-        out.append((Region(system, [(a + quarter, b - quarter, True, True)]), d))
-    return out
+    """Closed shrunken version: closures of the thin neighborhood arcs, radius
+    span/8 about each point, with the thin cover's shifts."""
+    points, _, shifts, spans = _plan(system, F, U, search_depth, "thin covers")
+    return [(Region.interval(system, x - s / 8, x + s / 8), d)
+            for x, s, d in zip(points, spans, shifts)]
+
+
+def _translated_failures(system, U, items, what):
+    """The pieces of (piece, shift) items, translated, against U in one
+    sweep: a failure per piece that leaves U, then one if any two overlap."""
+    images = [translate_region(system, p, d) for p, d in items]
+    disjoint, inside = disjoint_inside(system, images, U)
+    failures = []
+    if not inside:
+        failures.extend("a translated %s piece leaves the target" % what
+                        for img in images if not U.contains_region(img))
+    if not disjoint:
+        failures.append("translated %s pieces overlap" % what)
+    return failures
 
 
 def verify_thin_cover(system, F, U, cover):
@@ -471,14 +487,7 @@ def verify_thin_cover(system, F, U, cover):
     for x, open_j in zip(points, cover.opens):
         if not open_j.contains_point(x):
             failures.append("a point escapes its covering set")
-    images = [translate_region(system, open_j, d)
-              for open_j, d in zip(cover.opens, cover.shifts)]
-    disjoint, inside = disjoint_inside(system, images, U)
-    if not inside:
-        failures.extend("a translated cover piece leaves the target"
-                        for img in images if not U.contains_region(img))
-    if not disjoint:
-        failures.append("translated cover pieces overlap")
+    failures.extend(_translated_failures(system, U, zip(cover.opens, cover.shifts), "cover"))
     if points:
         if not union_many(system, list(cover.opens)).contains_region(cover.nbhd):
             failures.append("thin neighborhood escapes the cover")
@@ -501,13 +510,7 @@ def verify_closed_thin_cover(system, F, U, items):
             if not covered.contains_point(x):
                 failures.append("a point escapes the closed cover")
                 break
-        images = [translate_region(system, Fj, d) for Fj, d in items]
-        disjoint, inside = disjoint_inside(system, images, U)
-        if not inside:
-            failures.extend("a translated closed piece leaves the target"
-                            for img in images if not U.contains_region(img))
-        if not disjoint:
-            failures.append("translated closed pieces overlap")
+        failures.extend(_translated_failures(system, U, items, "closed"))
     return failures
 
 
@@ -519,47 +522,35 @@ def leftover_cover(system, F, U, eps, search_depth: int = DEFAULT_DEPTH) -> Left
     partition that is exactly 1 on the pulled-back mid sets.
 
     Around each target t_j (found as in thin_cover) sit W_j > V_j > T_j,
-    radii w, w/2, w/4, with W_j pairwise disjoint and total mass under
-    eps; F_j is the arc of radius w/8 around the point x_j.  The bump of
-    each pair (pullback of closure(V_j), pullback of W_j), arcs of radius
-    w/2 and w around x_j, is `trapezoid(x_j, w)`, built with no region;
-    the trapezoids enter a min-cascade, so the sum is exactly 1 on the
-    union of the pulled-back closure(V_j).  The cover keeps x_j, t_j and w
-    and builds its regions only when read.  It is not self-checked:
-    callers run verify_leftover_cover, or verify_witness on the witness
-    the cover ends up in.
+    radii w, w/2, w/4 with w = span/2 (see `_plan`, capped at eps/2n), so
+    the W_j are pairwise disjoint with total mass under eps; F_j is the arc
+    of radius w/8 around the point x_j.  The bump of each pair (pullback of
+    closure(V_j), pullback of W_j), arcs of radius w/2 and w around x_j, is
+    `trapezoid(x_j, w)`, built with no region; the trapezoids enter a
+    min-cascade, so the sum is exactly 1 on the union of the pulled-back
+    closure(V_j).  The cover keeps x_j, t_j and w and builds its regions
+    only when read.  It is not self-checked: callers run
+    verify_leftover_cover, or verify_witness on the witness the cover ends
+    up in.
     """
     eps = ExactScalar.coerce(eps)
     if eps.sign() <= 0:
         raise EmptyInput("epsilon must be positive")
-    if not isinstance(system, CircleRotation):
-        raise MixedAmbient("leftover covers are built over circle rotations")
-    if U.is_empty:
-        raise EmptyInput("target open set is empty")
-    points = _point_list(system, F)
-    if not points:
-        return LeftoverCover(system, (), (), (), (), (), eps)
-    assigned = _assign_targets(system, points, U, search_depth)
-    targets = tuple(t for t, _ in assigned)
-    pair = _min_circle_gap(targets)
-    count = ExactScalar.rational(len(points))
-    budget = eps / (count * 2)
-    widths = []
-    for w in _target_gaps(targets, U):
-        if pair is not None and pair < w:
-            w = pair
-        if budget < w:
-            w = budget
-        widths.append(w / 2)
+    points, targets, shifts, spans = _plan(system, F, U, search_depth, "leftover covers", eps)
+    widths = tuple(s / 2 for s in spans)
     fs = min_cascade(system, [trapezoid(x, w) for x, w in zip(points, widths)])
-    return LeftoverCover(
-        system, tuple(points), targets, tuple(widths),
-        tuple(fs), tuple(d for _, d in assigned), eps,
-    )
+    return LeftoverCover(system, points, targets, widths, tuple(fs), shifts, eps)
 
 
 def verify_leftover_cover(system, F, U, eps, cover):
-    """The five conclusions, re-checked with region algebra and exact extrema."""
+    """The five conclusions, re-checked with region algebra and exact extrema.
+
+    T_j, V_j and W_j are concentric arcs of radii w/4 < w/2 < w, so
+    closure(T_j) inside V_j and closure(V_j) inside W_j hold whenever the
+    arcs can be built; the pullback h^d(F_j), an arc of radius w/8 about
+    h^d(x_j), lies in T_j iff its centre is closer than w/8 to t_j.  One
+    sweep gives W inside U (clause 2) and the W_j pairwise disjoint (clause 5).
+    """
     failures = []
     points = _point_list(system, F)
     n = len(cover.functions)
@@ -571,15 +562,11 @@ def verify_leftover_cover(system, F, U, eps, cover):
         if not covered.contains_point(x):
             failures.append("clause 1: a point escapes the closed cover")
             break
-    for Fj, T, V, W, d in zip(closed, cover.tighter, mids, opens, cover.shifts):
-        img = translate_region(system, Fj, d)
-        if not T.contains_region(img):
+    disjoint, inside = disjoint_inside(system, list(opens), U)
+    for x, t, w, d, W in zip(cover.points, cover.targets, cover.widths, cover.shifts, opens):
+        if not circle_norm(system.apply(x, d) - t) < w / 8:
             failures.append("clause 2: pullback not inside T")
-        if not V.contains_region(T.closure()):
-            failures.append("clause 2: closure(T) not inside V")
-        if not W.contains_region(V.closure()):
-            failures.append("clause 2: closure(V) not inside W")
-        if not U.contains_region(W):
+        if not (inside or U.contains_region(W)):
             failures.append("clause 2: W leaves the target")
     if n:
         total = sum_of(list(cover.functions))
@@ -600,7 +587,7 @@ def verify_leftover_cover(system, F, U, eps, cover):
         if not (lo_ok and hi_ok):
             failures.append("clause 4: function range leaves [0, 1]")
     if opens:
-        if not pairwise_disjoint(system, list(opens)):
+        if not disjoint:
             failures.append("clause 5: W pieces overlap")
         mass = ZERO
         for W in opens:
@@ -620,20 +607,15 @@ def _boundary_cert(system, region):
     return smallness_constant(system, Region.points(system, pts))
 
 
-def _extend_region(system, R, m):
-    if R.is_empty:
-        return Region.empty(system)
-    arcs = []
-    for a, b, _, _ in R.logical_arcs():
-        arcs.append((a - m, b + m, False, False))
-    return Region(system, arcs)
-
-
-def _companion_arc(system, room):
-    a, b, _, _ = room.logical_arcs()[0]
+def _companion_arc(system, room, cap=None):
+    """Open arc about the middle of room's first arc (the circle, if room is
+    full), of radius an eighth of that arc's length or of cap if smaller."""
+    a, b = (ZERO, ONE) if room.is_full else room.logical_arcs()[0][:2]
+    q = b - a
+    if cap is not None and cap < q:
+        q = cap
     mid = (a + b) / 2
-    r = (b - a) / 8
-    return Region(system, [(mid - r, mid + r, False, False)])
+    return Region(system, [(mid - q / 8, mid + q / 8, False, False)])
 
 
 def _tsbp_circle(system, F, K):
@@ -641,25 +623,17 @@ def _tsbp_circle(system, F, K):
         U = Region(system, [(ExactScalar.rational(1, 4), ExactScalar.rational(3, 8), False, False)])
         V = Region(system, [(ExactScalar.rational(5, 8), ExactScalar.rational(3, 4), False, False)])
         return U, V
+    if K.is_empty:
+        return _tsbp_circle(system, K, F)[::-1]
     if F.is_empty:
         room = K.closure().complement()
         if room.is_empty:
             raise NotDisjoint("nothing outside the sets to separate with")
         U = _companion_arc(system, room)
         m = region_gap(U.closure(), K) / 4
-        return U, _extend_region(system, K.closure(), m)
-    if K.is_empty:
-        room = F.closure().complement()
-        if room.is_empty:
-            raise NotDisjoint("nothing outside the sets to separate with")
-        V = _companion_arc(system, room)
-        m = region_gap(V.closure(), F) / 4
-        return _extend_region(system, F.closure(), m), V
+        return U, _widened(system, K.closure(), m)
     m = region_gap(F.closure(), K.closure()) / 4
-    return (
-        _extend_region(system, F.closure(), m),
-        _extend_region(system, K.closure(), m),
-    )
+    return _widened(system, F.closure(), m), _widened(system, K.closure(), m)
 
 
 def _tsbp_torus(system, F, K):
@@ -683,7 +657,7 @@ def _tsbp_torus(system, F, K):
 
     def extend(R):
         return BoxRegion._make(
-            system, [tuple(_extend_region(r.system, r, m) for r in box) for box in R.boxes]
+            system, [tuple(_widened(r.system, r, m) for r in box) for box in R.boxes]
         )
 
     return extend(F), extend(K)
@@ -725,26 +699,20 @@ def tsbp_separate(system, F, K):
     Margins are a quarter of the exact gap; the certificate covers the
     boundary of the first output.
     """
-    if isinstance(system, Odometer):
-        if F.intersects(K):
-            raise NotDisjoint("the closed sets meet")
-        if F.is_empty and K.is_full:
-            raise NotDisjoint("nothing outside the sets to separate with")
-        cert = SmallnessCertificate(1, "proven", None, ())
-        return F, K, cert
-    if isinstance(system, TorusRotation):
-        if F.intersects(K):
-            raise NotDisjoint("the closed sets meet")
-        U, V = _tsbp_torus(system, F, K)
-        if U.closure().intersects(V.closure()):
-            raise RuntimeError("separation postcondition failed")
-        return U, V, _torus_boundary_cert(system, U)
     if F.intersects(K):
         raise NotDisjoint("the closed sets meet")
-    U, V = _tsbp_circle(system, F, K)
+    if isinstance(system, Odometer):
+        if F.is_empty and K.is_full:
+            raise NotDisjoint("nothing outside the sets to separate with")
+        return F, K, SmallnessCertificate(1, "proven", None, ())
+    if isinstance(system, TorusRotation):
+        separate, certify = _tsbp_torus, _torus_boundary_cert
+    else:
+        separate, certify = _tsbp_circle, _boundary_cert
+    U, V = separate(system, F, K)
     if U.closure().intersects(V.closure()):
         raise RuntimeError("separation postcondition failed")
-    return U, V, _boundary_cert(system, U)
+    return U, V, certify(system, U)
 
 
 def tsbp_point_nbhd(system, x, U):
@@ -801,23 +769,14 @@ def regular_outer_approx(system, F, U, eps):
     if FC.is_empty:
         if U.is_empty:
             raise NotContained("no room for a companion arc")
-        if U.is_full:
-            a, b = ZERO, ONE
-        else:
-            a, b, _, _ = U.logical_arcs()[0]
-        mid = (a + b) / 2
-        q = b - a
-        if eps < q:
-            q = eps
-        q = q / 8
-        V = Region(system, [(mid - q, mid + q, False, False)])
+        V = _companion_arc(system, U, eps)
     else:
         pieces = ExactScalar.rational(len(FC.logical_arcs()))
         g = ONE if U.is_full else region_gap(FC, U.complement())
         m = eps / pieces
         if g < m:
             m = g
-        V = _extend_region(system, FC, m / 4)
+        V = _widened(system, FC, m / 4)
     added = V.minus(FC).measure()
     if not added < eps:
         raise RuntimeError("outer approximation misses its mass bound")

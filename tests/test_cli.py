@@ -611,6 +611,31 @@ def test_cli_each_command_verifies_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_compare_retries_with_taller_towers(tmp_path, capsys, monkeypatch):
+    # a failed attempt triples N_base, and the third failure is the exit: a
+    # search depth of 1 exhausts every attempt, and matched levels that leave
+    # an arc of C uncovered end in ColumnDeficit
+    spec = write(tmp_path, "golden.spec", GOLDEN_FE_SPEC)
+    bases = []
+    attempt = comparison._attempt
+
+    def recorded(*args):
+        bases.append(args[6])
+        return attempt(*args)
+
+    monkeypatch.setattr(comparison, "_attempt", recorded)
+    assert cli.run(["compare", "--spec", spec, "--depth", "1"]) == 4
+    assert bases == [32, 96, 288]
+    assert capsys.readouterr().err == (
+        "error [SearchExhausted]: no free translate into the target within depth 1\n")
+    del bases[:]
+    monkeypatch.setattr(comparison, "_source_levels", lambda tower, tables: [])
+    assert cli.run(["compare", "--spec", spec]) == 4
+    assert bases == [32, 96, 288]
+    assert capsys.readouterr().err == (
+        "error [ColumnDeficit]: matched levels leave an arc of C uncovered\n")
+
+
 def test_cli_smallness_and_thincover(tmp_path, capsys):
     text = (
         "system circle\nfield 5\ntheta -1 1 2\nend\n"

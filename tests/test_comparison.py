@@ -352,7 +352,7 @@ def oracle_attempt(system, C, U, U0, margins, N_base):
     per_match, matched_opens = oracle_matched_levels(refined, tables)
     leftover_region = CC.minus(union_many(system, matched_opens)) if matched_opens else CC
     if not leftover_region.interior().is_empty:
-        raise cp._Retry("matched levels leave an arc of C uncovered")
+        raise ColumnDeficit("matched levels leave an arc of C uncovered")
     points = leftover_region.point_list()
     room = U.minus(U0.closure())
     eps = min(cell.measure() for cell, _ in refined.columns if not cell.interior().is_empty) * HALF
@@ -378,7 +378,7 @@ def oracle_comparison(system, C, U):
     for _ in range(3):
         try:
             entries, closed_levels = oracle_attempt(system, C1, U, U0, margins, N_base)
-        except (cp._Retry, ColumnDeficit, SearchExhausted):
+        except (ColumnDeficit, SearchExhausted):
             N_base *= 3
             continue
         witness = cp.ComparisonWitness(inputs=(C, U), entries=entries, provenance=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.plfun import PLFunction, bump, trapezoid
 from dyncomp.regions import BoxRegion, CylinderRegion, Region, translate_region, union_many
 from dyncomp import comparison as cp, smallness as sm
+
+import leftover_oracle
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -223,6 +226,46 @@ def test_thin_cover_failures_keep_their_order():
             [closed_leaves] * count + ["translated closed pieces overlap"])
 
 
+def test_thin_cover_checks_name_every_failure():
+    # each failure string of the two thin-cover checks, and their order when
+    # all fail at once; strings and order taken from the first implementation
+    points = [ZERO, R(1, 10), R(2, 5), R(1, 2)]
+    F = Region.points(GOLDEN, points)
+    U = open_arc(GOLDEN, R(3, 10), R(6, 10))
+    cover = sm.thin_cover(GOLDEN, F, U)
+    escapes, misses = "thin neighborhood escapes the cover", "thin neighborhood misses a point"
+    far = open_arc(GOLDEN, R(7, 10), R(3, 4))
+    for change, expected in (
+        (dict(opens=cover.opens[:3]), ["cover size mismatch"]),
+        (dict(shifts=cover.shifts[:3]), ["cover size mismatch"]),
+        (dict(nbhd=Region.empty(GOLDEN)), [misses]),
+        (dict(nbhd=cover.nbhd.union(far)), [escapes]),
+        (dict(nbhd=far), [escapes, misses]),
+        (dict(opens=tuple(open_arc(GOLDEN, x + R(1, 100), x + R(1, 50)) for x in points)),
+         ["a point escapes its covering set"] * 4 + [escapes]),
+        (dict(opens=tuple(open_arc(GOLDEN, x + R(1, 100), x + R(1, 8)) for x in points),
+              shifts=(0, 0, 0, 0), nbhd=far),
+         ["a point escapes its covering set"] * 4
+         + ["a translated cover piece leaves the target"] * 3
+         + ["translated cover pieces overlap", escapes, misses]),
+    ):
+        assert sm.verify_thin_cover(GOLDEN, F, U, dataclasses.replace(cover, **change)) == expected
+    items = sm.closed_thin_cover(GOLDEN, F, U)
+    off = [(Region.interval(GOLDEN, x + R(1, 100), x + R(1, 50)), d)
+           for x, (_, d) in zip(points, items)]
+    fat = [(Region.interval(GOLDEN, x + R(1, 100), x + R(1, 8)), 0) for x in points]
+    escaped = "a point escapes the closed cover"
+    for bad, expected in (
+        ([], ["empty cover for a non-empty set"]),
+        (items[1:], [escaped]),
+        (off, [escaped]),
+        (fat, [escaped] + ["a translated closed piece leaves the target"] * 3
+         + ["translated closed pieces overlap"]),
+    ):
+        assert sm.verify_closed_thin_cover(GOLDEN, F, U, bad) == expected
+    assert sm.verify_closed_thin_cover(GOLDEN, Region.empty(GOLDEN), U, []) == []
+
+
 def test_leftover_cover_orbit_cluster():
     F = Region.points(GOLDEN, [GOLDEN.apply(R(1, 7), j) for j in range(8)])
     U = open_arc(GOLDEN, R(3, 10), R(6, 10))
@@ -261,6 +304,18 @@ def test_tsbp_separate_companions():
     assert not U.is_empty
     assert V.contains_region(K)
     assert not U.closure().intersects(V.closure())
+    # an empty side gets a companion arc in the middle of the other's room,
+    # on either side; with both empty the arcs are fixed
+    F = Region.interval(GOLDEN, ZERO, R(1, 4))
+    fat_F = Region(GOLDEN, [(R(-9, 128), R(41, 128), False, False)])
+    companion = open_arc(GOLDEN, R(17, 32), R(23, 32))
+    assert sm.tsbp_separate(GOLDEN, F, Region.empty(GOLDEN))[:2] == (fat_F, companion)
+    assert sm.tsbp_separate(GOLDEN, Region.empty(GOLDEN), F)[:2] == (companion, fat_F)
+    U, V, cert = sm.tsbp_separate(GOLDEN, Region.empty(GOLDEN), Region.empty(GOLDEN))
+    assert (U, V) == (open_arc(GOLDEN, R(1, 4), R(3, 8)), open_arc(GOLDEN, R(5, 8), R(3, 4)))
+    assert cert == sm.SmallnessCertificate(1, "proven", None, (0,))
+    with pytest.raises(NotDisjoint):
+        sm.tsbp_separate(GOLDEN, Region.full(GOLDEN), Region.empty(GOLDEN))
     with pytest.raises(NotDisjoint):
         sm.tsbp_separate(GOLDEN, Region.empty(GOLDEN), Region.full(GOLDEN))
     with pytest.raises(NotDisjoint):
@@ -587,3 +642,80 @@ def test_trapezoid_is_the_pulled_back_bump(D, data):
     ends = bps[1:] + ((bps[0][0] + 1, bps[0][1]),)
     slopes = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, ends)]
     assert g.jumps == [slopes[i] - slopes[i - 1] for i in range(len(slopes))]
+
+
+# leftover covers to mutate: a point at 0 across the seam, an orbit cluster,
+# a U of two arcs, one through 0, and the whole circle as U
+LEFTOVER_BASES = (
+    ([ZERO, R(1, 10), R(2, 5), R(1, 2)], open_arc(GOLDEN, R(3, 10), R(6, 10)), R(1, 10)),
+    ([GOLDEN.apply(R(1, 7), j) for j in range(6)], open_arc(GOLDEN, R(3, 10), R(6, 10)), R(1, 25)),
+    ([R(1, 3), R(3, 4), TH],
+     Region(GOLDEN, [(R(1, 10), R(1, 5), False, False), (R(9, 10), R(11, 10), False, False)]),
+     R(1, 20)),
+    ([R(1, 5)], Region.full(GOLDEN), R(1, 2)),
+)
+
+
+@functools.cache
+def leftover_base(i):
+    points, U, eps = LEFTOVER_BASES[i]
+    F = Region.points(GOLDEN, points)
+    return F, U, eps, sm.leftover_cover(GOLDEN, F, U, eps)
+
+
+def mutate_leftover(data, cover, U, eps):
+    """One mutant of a leftover cover, or of the epsilon it is checked with."""
+    n = len(cover.points)
+    j = data.draw(st.integers(0, n - 1))
+    x, t, w = cover.points[j], cover.targets[j], cover.widths[j]
+
+    def at(seq, value):
+        return seq[:j] + (value,) + seq[j + 1:]
+
+    kind = data.draw(st.sampled_from(
+        ["shift", "target", "point", "width", "widths", "function", "eps", "truncate"]))
+    if kind == "shift":  # shifts may have been truncated already
+        delta = data.draw(st.sampled_from([-2, -1, 1, 2, 5]))
+        shifts = tuple(d + delta * (i == j) for i, d in enumerate(cover.shifts))
+        return dataclasses.replace(cover, shifts=shifts), eps
+    if kind == "target":
+        moved = data.draw(st.sampled_from(
+            [t + w / 16, t + w / 8, t - w / 2, t + w, t + TH, cover.targets[(j + 1) % n],
+             U.pieces[0][1]]))
+        return dataclasses.replace(cover, targets=at(cover.targets, moved.frac())), eps
+    if kind == "point":
+        moved = data.draw(st.sampled_from(
+            [x + w / 16, x - w / 8, x + w / 4, x + R(1, 2), cover.points[(j + 1) % n]]))
+        return dataclasses.replace(cover, points=at(cover.points, moved.frac())), eps
+    if kind in ("width", "widths"):
+        factor = data.draw(st.sampled_from([ZERO, R(-1, 100), R(3), R(9, 8)]))
+        widths = (at(cover.widths, w * factor) if kind == "width"
+                  else tuple(v * factor for v in cover.widths))
+        return dataclasses.replace(cover, widths=widths), eps
+    if kind == "function":
+        f = data.draw(st.sampled_from([PLFunction.constant(ZERO), PLFunction.constant(ONE),
+                                       cover.functions[(j + 1) % n], trapezoid(x, R(1, 50))]))
+        return dataclasses.replace(cover, functions=at(cover.functions, f)), eps
+    if kind == "eps":
+        mass = sum((v * 2 for v in cover.widths), ZERO)
+        return cover, data.draw(st.sampled_from([eps / 4, eps / 1000, mass]))
+    return dataclasses.replace(cover, shifts=cover.shifts[:data.draw(st.integers(0, n - 1))]), eps
+
+
+def failures_or_error(verify, *args):
+    try:
+        return verify(*args)
+    except Exception as exc:  # the oracle's exception is the expected outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, len(LEFTOVER_BASES) - 1), st.integers(1, 2), st.data())
+def test_verify_leftover_cover_matches_the_region_oracle(base, rounds, data):
+    # the arithmetic clause-2 check against the piece-by-piece region check
+    # on mutated covers: the same failure list, or the same exception
+    F, U, eps, cover = leftover_base(base)
+    for _ in range(rounds):
+        cover, eps = mutate_leftover(data, cover, U, eps)
+    assert failures_or_error(sm.verify_leftover_cover, GOLDEN, F, U, eps, cover) == (
+        failures_or_error(leftover_oracle.verify_leftover_cover, GOLDEN, F, U, eps, cover))
