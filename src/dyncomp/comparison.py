@@ -283,10 +283,10 @@ def column_counts(tower, S):
             return tuple(tuple(j for j, g in enumerate(gaps) if sides[g])
                          for gaps in tower.level_gaps)
     out = []
-    for walk in tower.walks:
+    for k, walk in enumerate(tower.walks):
         hits = []
-        for j, level in enumerate(walk):
-            where = locate(level)
+        for j in range(len(walk)):
+            where = locate(tower.level(k, j))
             if where is None:
                 raise UnrefinedTower("open level straddles the test region")
             if where:
@@ -319,12 +319,11 @@ def column_matching(source_counts, target_counts):
 def _source_levels(tower, tables):
     """For each table pair in order, the lifted open source level (lo, hi)
     and its shift.  A refined circle cell is one arc, so each walked level
-    is one lifted arc."""
+    is one lifted arc, built as ExactScalars for the matched levels only."""
     out = []
     for table in tables:
-        walk = tower.walks[table.column]
         for s, _, d in table.pairs:
-            (arc,) = walk[s]
+            (arc,) = tower.level(table.column, s)
             out.append((arc, d))
     return out
 

@@ -23,7 +23,7 @@ from .errors import (
     MixedAmbient,
     NoGap,
 )
-from .scalars import ExactScalar, ONE, ZERO, _reduced, _sign_surd
+from .scalars import ExactScalar, Lattice, ONE, ZERO, _reduced, _sign_surd
 from .systems import CircleRotation, Odometer
 from .regions import CylinderRegion, Region
 
@@ -418,19 +418,12 @@ def birkhoff_min(system, g, N: int) -> ExactScalar:
     bps = g.breakpoints
     if len(bps) == 1:
         return bps[0][1] * N
-    theta, D = system.theta, system.D
-    for p in bps:
-        for s in p:
-            if s.b and s.D != D:
-                raise ValueError("incompatible quadratic fields D=%d, D=%d" % (s.D, D))
-    L = math.lcm(theta.c, *(x.c for x, _ in bps))
-
-    def lattice(x):
-        k = L // x.c
-        return x.a * k, x.b * k
-
-    TA, TB = lattice(theta)
-    xs = [lattice(x) for x, _ in bps]
+    theta = system.theta
+    lattice = Lattice([theta] + [x for x, _ in bps])
+    lattice.extend(v for _, v in bps)  # only refuses a value from another field
+    L, D = lattice.L, lattice.D
+    TA, TB = lattice.pair(theta)
+    xs = [lattice.pair(x) for x, _ in bps]
     n = len(bps)
     # the slope of the segment each breakpoint starts; the last wraps 1 -> 0
     slopes = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, bps[1:])]
@@ -451,7 +444,7 @@ def birkhoff_min(system, g, N: int) -> ExactScalar:
     for (x, _), jump in zip(bps, g.jumps):
         if jump.sign() <= 0:
             continue
-        A, B = lattice((x - theta * (N - 1)).frac())
+        A, B = lattice.pair((x - theta * (N - 1)).frac())
         pa = pb = 0
         PA, PB = [0], [0]  # prefix sums of the terms a_u, u = 1 - N, ...
         for _ in range(2 * N - 1):

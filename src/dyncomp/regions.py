@@ -12,6 +12,12 @@ containment are exact.
 Odometer regions are sets of level-n cylinder indices; torus regions are
 finite unions of boxes, each a product of circle regions, one per factor
 rotation.
+
+Tower levels are walked rather than built: an odometer level is a
+CylinderRegion, a circle level a tuple of lifted arcs whose ends are
+integer pairs on the tower's `scalars.Lattice`, walked, located against
+cut points (`ArcLocator`) and chained (`levels_tile`) by sign tests on
+integer differences.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import EmptyInput, MixedAmbient, NotNull
-from .scalars import ExactScalar, ZERO, ONE
+from .scalars import ExactScalar, ZERO, ONE, _sign_surd
 from .systems import CircleRotation, Odometer, TorusRotation, circle_norm
 
 
@@ -599,17 +605,22 @@ class CylinderRegion:
 #
 # A level of a tower column is the open region h^j(int cell).  On an
 # odometer a level is that CylinderRegion.  On a circle it is a tuple of
-# lifted open arcs (lo, hi) with lo in [0, 1) and hi - lo < 1, one per
-# logical arc of int cell and in that order; the next level adds theta to
-# each lo and wraps it with one compare, so no region is built.  The whole
-# circle, which no such arc covers, is the sentinel _FULL_LEVEL.
+# lifted open arcs (lo, hi), lo in [0, 1) and hi - lo < 1, one per logical
+# arc of int cell and in that order, walked on the tower's Lattice: each
+# arc is the integer tuple (A, B, C, E) with lo = (A + B sqrt(D))/L and
+# hi = (C + E sqrt(D))/L.  The next level adds theta's pair to each lo and
+# wraps it by L after one sign test, so neither a region nor a scalar is
+# built.  Read back with ExactScalar ends (`RokhlinTower.level`), the whole
+# circle, which no lifted arc covers, is the sentinel _FULL_LEVEL.
 
 _FULL_LEVEL = ((ZERO, ONE),)
 _TWO = ExactScalar(2)
 
 
-def walk_levels(system, opened, n):
-    """Yield the levels h^0(opened), ..., h^(n-1)(opened) of an open region."""
+def walk_levels(system, opened, n, lattice):
+    """Yield the levels h^0(opened), ..., h^(n-1)(opened) of an open region;
+    on a circle on `lattice`, which holds opened's arc ends and, if n > 1,
+    theta (None on an odometer)."""
     if isinstance(system, Odometer):
         level = opened
         for j in range(n):
@@ -617,35 +628,48 @@ def walk_levels(system, opened, n):
                 level = level.translate(1)
             yield level
         return
+    L, D = lattice.L, lattice.D
     if opened.is_full:
         for _ in range(n):
-            yield _FULL_LEVEL
+            yield ((0, 0, L, 0),)
         return
-    arcs = opened.logical_arcs()
-    los = [lo for lo, _, _, _ in arcs]
-    lengths = [hi - lo for lo, hi, _, _ in arcs]
-    theta = system.theta
+    level = tuple(lattice.pair(lo) + lattice.pair(hi) for lo, hi, _, _ in opened.logical_arcs())
+    TA, TB = lattice.pair(system.theta) if n > 1 else (0, 0)
     for j in range(n):
         if j:
-            los = [lo - 1 if lo >= 1 else lo for lo in (lo + theta for lo in los)]
-        yield tuple((lo, lo + ln) for lo, ln in zip(los, lengths))
+            stepped = []
+            for A, B, C, E in level:
+                A, B, C, E = A + TA, B + TB, C + TA, E + TB
+                if _sign_surd(A - L, B, D) >= 0:
+                    A, C = A - L, C - L
+                stepped.append((A, B, C, E))
+            level = tuple(stepped)
+        yield level
 
 
-def levels_tile(system, levels) -> bool:
+def levels_tile(system, levels, lattice) -> bool:
     """Whether walked levels whose measures sum to 1 are pairwise disjoint,
     so that their closures tile the space.
 
-    On a circle, by one chain and no sort: when no two lifted arcs share a
-    start and following each arc's end (mod 1) to the arc starting there
-    passes every arc once before it returns, the arcs abut around the
-    circle, and as their lengths sum to 1 they wind it once, disjointly.
-    Disjoint open arcs of total length 1 leave no gap, so they pass.
+    On a circle, by one chain on the levels' lattice, keyed by integer
+    pairs, and no sort: when no two lifted arcs share a start and
+    following each arc's end (mod 1) to the arc starting there passes
+    every arc once before it returns, the arcs abut around the circle, and
+    as their lengths sum to 1 they wind it once, disjointly.  Disjoint open
+    arcs of total length 1 leave no gap, so they pass.
     """
     if isinstance(system, Odometer):
         return pairwise_disjoint(system, levels)
-    arcs = [arc for level in levels for arc in level]
-    ends = {lo: hi - 1 if hi >= 1 else hi for lo, hi in arcs}
-    if len(ends) < len(arcs):
+    L, D = lattice.L, lattice.D
+    ends = {}
+    arcs = 0
+    for level in levels:
+        for A, B, C, E in level:
+            arcs += 1
+            if _sign_surd(C - L, E, D) >= 0:
+                C -= L
+            ends[A, B] = C, E
+    if len(ends) < arcs:
         return False  # two arcs start at one point
     start = at = next(iter(ends), None)
     for steps in range(1, len(ends) + 1):
@@ -658,44 +682,58 @@ def levels_tile(system, levels) -> bool:
 
 
 class ArcLocator:
-    """Lifted open arcs against sorted points of the circle, by bisection.
+    """Lifted open arcs against sorted points of the circle, on a lattice.
 
     The points cut the circle into gaps; gap i runs from points[i - 1] to
     points[i], and gaps 0 and len(points) are the same gap through the
-    last point and the first.  An arc (lo, hi), lo in [0, 1), hi - lo < 1,
-    holds a point strictly inside exactly when the first point after lo,
-    taken cyclically and lifted past lo, lies below hi; otherwise the arc
-    lies in one gap.
+    last point and the first.  `lifted` holds each point's pair, then each
+    lifted by 1, then a bound above every hi.  An arc (A, B, C, E) as
+    `walk_levels` walks it, with lo in [0, 1) and hi - lo < 1, holds a
+    point strictly inside exactly when the first point after lo, taken
+    cyclically and lifted past lo, lies below hi; otherwise the arc lies in
+    one gap.  Every order is one `_sign_surd` test on integer differences.
     """
 
-    __slots__ = ("points", "lifted")
+    __slots__ = ("points", "lifted", "D")
 
-    def __init__(self, points):
+    def __init__(self, points, lattice):
         self.points = list(points)
-        # each point and its lift by 1, then a bound above every hi
-        self.lifted = self.points + [p + 1 for p in self.points] + [_TWO]
+        pairs = [lattice.pair(p) for p in self.points]
+        L = lattice.L
+        self.lifted = pairs + [(A + L, B) for A, B in pairs] + [(2 * L, 0)]
+        self.D = lattice.D
 
-    def gap(self, lo, hi):
-        """The index of the gap holding (lo, hi), or None if it holds a point."""
-        i = bisect_right(self.points, lo)
-        return None if self.lifted[i] < hi else i
-
-    def inside(self, lo, hi):
-        """The gap holding lo, and the points strictly inside (lo, hi),
-        lifted into it, ascending."""
-        g = i = bisect_right(self.points, lo)
-        lifted, out = self.lifted, []
-        while lifted[i] < hi:
-            out.append(lifted[i])
+    def inside(self, A, B, C, E):
+        """The gap holding lo, and the pairs of the points strictly inside
+        (lo, hi), lifted into it, ascending."""
+        lifted, D = self.lifted, self.D
+        i, top = 0, len(self.points)
+        while i < top:  # the number of points up to lo
+            mid = (i + top) // 2
+            pa, pb = lifted[mid]
+            if _sign_surd(A - pa, B - pb, D) < 0:
+                top = mid
+            else:
+                i = mid + 1
+        g, out = i, []
+        pa, pb = lifted[i]
+        while _sign_surd(pa - C, pb - E, D) < 0:
+            out.append((pa, pb))
             i += 1
+            pa, pb = lifted[i]
         return g, out
 
-    def holds(self, g, lo, hi):
+    def holds(self, g, A, B, C, E):
         """Whether (lo, hi), 0 <= lo < hi < 2, lies between lifted points
-        g - 1 and g, two exact comparisons; then g is the number of lifted
-        points up to lo, and no point lies strictly inside the arc."""
-        lifted = self.lifted
-        return (g == 0 or lifted[g - 1] <= lo) and hi <= lifted[g]
+        g - 1 and g, two sign tests; then g is the number of lifted points
+        up to lo, and no point lies strictly inside the arc."""
+        lifted, D = self.lifted, self.D
+        if g:
+            pa, pb = lifted[g - 1]
+            if _sign_surd(A - pa, B - pb, D) < 0:
+                return False
+        pa, pb = lifted[g]
+        return _sign_surd(pa - C, pb - E, D) >= 0
 
 
 def level_locator(system, S):
@@ -703,7 +741,8 @@ def level_locator(system, S):
     it lies in S, False when it misses S, None when it meets S and its
     complement both.
 
-    On a circle the points are S's boundary points.  An arc holding one
+    On a circle the level comes with ExactScalar ends (`RokhlinTower.level`),
+    and the points are S's boundary points.  An arc holding one
     strictly inside meets S and its complement.  A gap is connected and
     misses the boundary, so it lies wholly in the interior of S or wholly
     outside its closure; a flag per gap, from one point in it, says which.
@@ -715,22 +754,21 @@ def level_locator(system, S):
                 return True
             return None if S.intersects(level) else False
         return locate_cylinders
-    loc = ArcLocator(S.boundary_points())
-    pts = loc.points
+    pts = list(S.boundary_points())
     if not pts:
         return lambda level: S.is_full
+    lifted = pts + [p + 1 for p in pts] + [_TWO]
     inside = [S.contains_point((pts[-1] + pts[0] + 1) / 2)]
     inside += [S.contains_point((a + b) / 2) for a, b in zip(pts, pts[1:])]
     inside.append(inside[0])
-    gap = loc.gap
 
     def locate_arcs(level):
         if level is _FULL_LEVEL:
             return None
         where = True
         for k, (lo, hi) in enumerate(level):
-            g = gap(lo, hi)
-            if g is None:
+            g = bisect_right(pts, lo)  # the gap holding lo
+            if lifted[g] < hi:
                 return None
             if k == 0:
                 where = inside[g]

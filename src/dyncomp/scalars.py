@@ -303,6 +303,43 @@ def _reduced(a: int, b: int, c: int, D: int) -> ExactScalar:
     return _new(a, b, c, D)
 
 
+class Lattice:
+    """Scalars of one field Q(sqrt(D)) over one denominator L, as integer
+    pairs: (A, B) stands for (A + B*sqrt(D))/L.
+
+    L is the lcm of the denominators of the scalars put on it, so a sum of
+    pairs is exact and order is one `_sign_surd` test on differences.  D
+    is the field of the irrational scalars given (1 while all are
+    rational); a scalar of another field raises.  `extend` gives a lattice
+    with more denominators, on which an old pair is the pair times
+    new.L // old.L.
+    """
+
+    __slots__ = ("L", "D")
+
+    def __init__(self, scalars, L: int = 1, D: int = 1):
+        for s in scalars:
+            if s.b:
+                if D == 1:
+                    D = s.D
+                elif s.D != D:
+                    raise ValueError("incompatible quadratic fields D=%d, D=%d" % (s.D, D))
+            L = L * s.c // math.gcd(L, s.c)
+        self.L = L
+        self.D = D
+
+    def extend(self, scalars) -> "Lattice":
+        return Lattice(scalars, self.L, self.D)
+
+    def pair(self, x: ExactScalar) -> tuple:
+        """(A, B) with x = (A + B*sqrt(D))/L; x must have been put on."""
+        k = self.L // x.c
+        return x.a * k, x.b * k
+
+    def scalar(self, A: int, B: int) -> ExactScalar:
+        return _reduced(A, B, self.L, self.D)
+
+
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 HALF = ExactScalar(1, 0, 2)

@@ -9,13 +9,13 @@ from __future__ import annotations
 import math
 
 from .errors import MixedAmbient, NonTerminationGuard
-from .scalars import ExactScalar, HALF
+from .scalars import ExactScalar, HALF, ONE
 
 
 def circle_norm(x: ExactScalar) -> ExactScalar:
     """Distance from x to the nearest integer."""
     f = x.frac()
-    return f if f <= HALF else ExactScalar(1) - f
+    return f if f <= HALF else ONE - f
 
 
 class CircleRotation:

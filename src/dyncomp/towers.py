@@ -4,9 +4,16 @@ A tower over a closed base Y splits Y into columns by first-return time;
 the images of a column under the rotation (its levels) have pairwise
 disjoint interiors and their closures tile the space.  Everything is
 verified exactly at construction time.
+
+On a circle a tower is walked, refined and tiled on one integer lattice
+(`scalars.Lattice`): its levels' ends are integer pairs over the lcm of
+theta's denominator and its cells' (extended by the cut points' on
+refinement), and ExactScalars are built only for the refined cells' ends
+and for the levels a caller reads through `RokhlinTower.level`.
 """
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 
 from .errors import (
     EmptyInput,
@@ -14,9 +21,10 @@ from .errors import (
     MixedAmbient,
     NonTerminationGuard,
 )
-from .scalars import ExactScalar, ONE, ZERO
+from .scalars import ExactScalar, Lattice, ONE, ZERO, _sign_surd
 from .systems import CircleRotation, Odometer, min_orbit_gap, three_gap
 from .regions import (
+    _FULL_LEVEL,
     ArcLocator,
     CylinderRegion,
     Region,
@@ -101,17 +109,33 @@ class RokhlinTower:
     base: object
     columns: tuple  # ((closed cell, height), ...) sorted by (height, leftmost)
     # derived data, no part of equality or repr: per column, its open levels
-    # as `walk_levels` yields them (walked here unless given), and on a
-    # refined circle tower its partition's ArcLocator and each level's gap
+    # as `walk_levels` yields them (walked here unless given), on a circle
+    # the Lattice they are walked on, and on a refined circle tower its
+    # partition's ArcLocator and each level's gap
     walks: tuple = field(default=None, compare=False, repr=False)
+    lattice: object = field(default=None, compare=False, repr=False)
     cuts: object = field(default=None, compare=False, repr=False)
     level_gaps: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.walks is None:
             opened = [(cell.interior(), n) for cell, n in self.columns]
+            if isinstance(self.system, CircleRotation):
+                object.__setattr__(self, "lattice", _walk_lattice(self.system, opened))
             object.__setattr__(self, "walks", tuple(
-                () if o.is_empty else tuple(walk_levels(self.system, o, n)) for o, n in opened))
+                () if o.is_empty else tuple(walk_levels(self.system, o, n, self.lattice))
+                for o, n in opened))
+
+    def level(self, k, j):
+        """Level j of column k; on a circle its arcs (lo, hi) as
+        ExactScalars, or _FULL_LEVEL for the whole circle."""
+        level = self.walks[k][j]
+        if self.lattice is None:
+            return level
+        if self.columns[k][0].is_full:
+            return _FULL_LEVEL
+        scalar = self.lattice.scalar
+        return tuple((scalar(A, B), scalar(C, E)) for A, B, C, E in level)
 
     def heights(self):
         return tuple(n for _, n in self.columns)
@@ -146,10 +170,24 @@ class RokhlinTower:
         """
         sys = self.system
         _check_kac(self)
-        if not levels_tile(sys, [level for walk in self.walks for level in walk]):
+        levels = [level for walk in self.walks for level in walk]
+        if not levels_tile(sys, levels, self.lattice):
             raise RuntimeError("tower invariant failed: open levels overlap")
         if union_many(sys, [cell for cell, _ in self.columns]) != self.base:
             raise RuntimeError("tower invariant failed: cells do not union to the base")
+
+
+def _walk_lattice(system, opened):
+    """The lattice a circle tower is walked on: theta, when some column
+    has a second level, and the ends of every open cell's arcs.  A tower
+    that takes no step (the whole circle's) holds no theta, so its field
+    is its cells', and it refines against parts of another field."""
+    ends = [system.theta] if any(n > 1 and not o.is_empty for o, n in opened) else []
+    for o, _ in opened:
+        if not o.is_empty and not o.is_full:
+            for lo, hi, _, _ in o.logical_arcs():
+                ends += (lo, hi)
+    return Lattice(ends)
 
 
 def _check_kac(tower):
@@ -221,49 +259,62 @@ def _refine_circle(tower, parts):
     points that its walked levels hold strictly inside.
 
     The refined tower's walk and gaps come from the parent's walk, with no
-    second walk and no bisection per level.  The sub-arc [s, t] of a parent
-    arc starting at a has level j from lo_j + (s - a) to lo_j + (t - a),
-    where lo_j starts the parent's level j; only the parent level that
-    passes 1 wraps some of its sub-levels back by 1.  A sub-level's gap is
-    its parent level's start gap plus the number of that level's inside
-    points it has passed.  `ArcLocator.holds` checks each claimed gap with
-    two exact comparisons, so an open level that holds a partition boundary
-    point raises.
+    second walk and no bisection per level, all on one lattice: the
+    parent's, extended by the cut points' denominators, so the parent's
+    pairs are scaled by one factor.  The sub-arc [s, t] of a parent arc
+    starting at a has level j from lo_j + (s - a) to lo_j + (t - a), where
+    lo_j starts the parent's level j, an integer add per row; only the
+    parent level that passes 1 wraps some of its sub-levels back by 1.  A
+    sub-level's gap is its parent level's start gap plus the number of that
+    level's inside points it has passed.  `ArcLocator.holds` checks each
+    claimed gap with two sign tests, so an open level that holds a
+    partition boundary point raises.  The only scalars built are the
+    stops, the ends of the refined cells.
     """
     system = tower.system
-    points = ArcLocator(_boundary_points(parts))
+    cut = _boundary_points(parts)
+    lattice = tower.lattice.extend(cut)
+    L, D = lattice.L, lattice.D
+    up = L // tower.lattice.L
+    points = ArcLocator(cut, lattice)
+    by_value = cmp_to_key(lambda p, q: _sign_surd(p[0] - q[0], p[1] - q[1], D))
     cols = []
     for walk, (_, n) in zip(tower.walks, tower.columns):
-        for i, (a, b) in enumerate(walk[0] if walk else ()):
+        for i in range(len(walk[0]) if walk else 0):
             arcs = [level[i] for level in walk]
+            if up > 1:
+                arcs = [(A * up, B * up, C * up, E * up) for A, B, C, E in arcs]
+            a0, b0 = arcs[0][0], arcs[0][1]
             gaps, passed = [], {}
-            for j, (lo, hi) in enumerate(arcs):
-                g, inside = points.inside(lo, hi)
+            for j, (A, B, C, E) in enumerate(arcs):
+                g, inside = points.inside(A, B, C, E)
                 gaps.append(g)
-                for x in inside:
-                    passed.setdefault(a + (x - lo), []).append(j)
-            stops = [a] + sorted(passed) + [b]
-            marks = [s - a for s in stops]
-            rows = [([lo + d for d in marks], hi > 1) for lo, hi in arcs]
-            for t in range(len(stops) - 1):
+                for xa, xb in inside:
+                    passed.setdefault((a0 + xa - A, b0 + xb - B), []).append(j)
+            stops = [(a0, b0)] + sorted(passed, key=by_value) + [arcs[0][2:]]
+            ends = [lattice.scalar(sa, sb) for sa, sb in stops]
+            through = [_sign_surd(C - L, E, D) > 0 for _, _, C, E in arcs]
+            starts = [(A, B) for A, B, _, _ in arcs]  # each sub-level's lo
+            for t in range(1, len(stops)):
+                da, db = stops[t][0] - a0, stops[t][1] - b0
                 walked, claimed = [], []
-                for (row, through), g in zip(rows, gaps):
-                    lo, hi = row[t], row[t + 1]
-                    if not points.holds(g, lo, hi):
+                for j, (A, B, _, _) in enumerate(arcs):
+                    lo_a, lo_b = starts[j]
+                    hi_a, hi_b = starts[j] = A + da, B + db
+                    g = gaps[j]
+                    if not points.holds(g, lo_a, lo_b, hi_a, hi_b):
                         raise RuntimeError("refined level straddles a partition boundary")
-                    if through and lo >= 1:
-                        lo, hi, g = lo - 1, hi - 1, g - len(points.points)
-                    walked.append(((lo, hi),))
+                    if through[j] and _sign_surd(lo_a - L, lo_b, D) >= 0:
+                        lo_a, hi_a, g = lo_a - L, hi_a - L, g - len(cut)
+                    walked.append(((lo_a, lo_b, hi_a, hi_b),))
                     claimed.append(g)
-                for j in passed.get(stops[t + 1], ()):
+                for j in passed.get(stops[t], ()):
                     gaps[j] += 1
-                if len(stops) == 2 and len(walk[0]) == 1:
-                    walked = walk  # uncut, so a full circle's level stays _FULL_LEVEL
-                cell = Region(system, [(stops[t], stops[t + 1], True, True)])
+                cell = Region.interval(system, ends[t - 1], ends[t])
                 cols.append((cell, n, tuple(walked), tuple(claimed)))
     cols.sort(key=lambda c: (c[1], c[0].pieces[0][0]))
     refined = RokhlinTower(system, tower.base, tuple((cell, n) for cell, n, _, _ in cols),
-                           walks=tuple(c[2] for c in cols), cuts=points,
+                           walks=tuple(c[2] for c in cols), lattice=lattice, cuts=points,
                            level_gaps=tuple(c[3] for c in cols))
     _check_kac(refined)
     return refined

@@ -579,6 +579,61 @@ def test_cli_golden_tower_and_refine_byte_identical(tmp_path, capsys):
         assert sha256(capsys.readouterr().out) == digest
 
 
+TWO_ARC_REGION = """\
+region Y
+  piece 0/1 1/10 closed closed
+  piece 1/2 7/10 closed closed
+end
+"""
+
+
+def test_cli_two_arc_and_full_circle_towers_byte_identical(tmp_path, capsys):
+    # stdout digests, as first emitted, for the bases the golden pins miss:
+    # [0, 1/10] u [1/2, 7/10], whose first return is walked and whose cells
+    # include a two-arc one, and the full circle, one level with no step
+    spec = write(tmp_path, "golden.spec", GOLDEN_FE_SPEC + "\n" + TWO_ARC_REGION)
+    full = ["--base", "0", "0", "1", "1", "0", "1"]
+    runs = (
+        (["tower", "--region", "Y"],
+         "95c59aa51e31eb06bdf215bc936c5d4761bef33a59bedcc4952a74c578105ed7"),
+        (["refine", "--region", "Y", "--parts", "C"],
+         "6cac7d328b27d19ac226bb2e3f9a3491db65cc10ca39aa758f8261b1908ca37b"),
+        (["tower"] + full,
+         "c8600f686c23f06ab13a1baa1644d042d6a71ffaa33c35913896ed00d6f56c5a"),
+        (["refine"] + full + ["--parts", "C"],
+         "9758e6325b513752647f14124f2e52adf8d72b7f765437484d6aee7ea6f38cb6"),
+    )
+    for argv, digest in runs:
+        assert cli.run(argv[:1] + ["--spec", spec] + argv[1:]) == 0
+        assert sha256(capsys.readouterr().out) == digest
+
+
+MIXED_FIELD_SPEC = """\
+# the golden rotation; the second field line makes Q's end sqrt(2)/4
+system circle
+  field 5
+  theta -1 1 2
+  field 2
+end
+
+region Q
+  piece 0/1 0 1 4 closed closed
+end
+"""
+
+
+def test_cli_refine_refuses_a_part_from_another_field(tmp_path, capsys):
+    spec = write(tmp_path, "mixed.spec", MIXED_FIELD_SPEC)
+    assert cli.run(["refine", "--spec", spec, "--levels", "8", "--parts", "Q"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "incompatible quadratic fields" in err
+    # the whole circle takes no step, so its tower needs no theta and
+    # refines against the sqrt(2) part, as it always has
+    assert cli.run(["refine", "--spec", spec, "--base", "0/1", "1/1", "--parts", "Q"]) == 0
+    assert sha256(capsys.readouterr().out) == (
+        "513558438729fab18c7c2a188f10dc3077640c06049bef58fd43f9763403e208")
+
+
 def _count_calls(monkeypatch, owners, name):
     """Replace owner.name by a counting wrapper on every owner; the returned
     list grows by one per call."""

@@ -1,10 +1,10 @@
 import dataclasses
 import sys
-from bisect import bisect_right
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import dyncomp.regions as regions_mod
 import dyncomp.towers as towers_mod
 from dyncomp import comparison as cp
 from dyncomp.errors import (
@@ -15,15 +15,8 @@ from dyncomp.errors import (
     UnrefinedTower,
 )
 from dyncomp.plfun import CylinderFunction
-from dyncomp.regions import (
-    ArcLocator,
-    CylinderRegion,
-    Region,
-    level_locator,
-    levels_tile,
-    walk_levels,
-)
-from dyncomp.scalars import ONE, ZERO, ExactScalar, golden_theta
+from dyncomp.regions import ArcLocator, CylinderRegion, Region, level_locator, levels_tile
+from dyncomp.scalars import ONE, ZERO, ExactScalar, Lattice, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.towers import (
     RokhlinTower,
@@ -32,6 +25,7 @@ from dyncomp.towers import (
     first_return,
     refine_tower,
 )
+from walk_oracle import materialized, oracle_gaps, oracle_walks, walk_levels
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -557,8 +551,7 @@ def test_cached_walk_and_gap_counts_match_locator_scan(Y, grid_cuts, m, more_cut
     again = refine_tower(refined, more)
     again.verify()
     for t in (tower, refined, again):
-        assert t.walks == tuple(
-            tuple(walk_levels(system, cell.interior(), n)) for cell, n in t.columns)
+        assert materialized(t) == oracle_walks(t)
     # every boundary point among the cuts: each part, its interior, a union
     # of parts; not among them: an arc off the 1/24 grid, which straddles
     # or not, and a refined cell, whose ends are level ends
@@ -572,10 +565,11 @@ def test_cached_walk_and_gap_counts_match_locator_scan(Y, grid_cuts, m, more_cut
 
 def test_one_walk_per_tower(monkeypatch):
     entered = []
+    walk = regions_mod.walk_levels
 
-    def counted(system, opened, n):
+    def counted(system, opened, n, lattice):
         entered.append(n)
-        return walk_levels(system, opened, n)
+        return walk(system, opened, n, lattice)
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("dyncomp") and hasattr(mod, "walk_levels"):
@@ -595,7 +589,8 @@ def test_one_walk_per_tower(monkeypatch):
     assert refine_tower(tower, parts) == refined
     assert refined.cuts is not None and tower.cuts is None
     assert repr(refined) == repr(RokhlinTower(system, refined.base, refined.columns))
-    assert "walks" not in repr(refined) and "cuts" not in repr(refined)
+    for derived in ("walks", "lattice", "cuts"):
+        assert derived not in repr(refined)
 
 
 def test_level_gaps_reject_a_straddle(monkeypatch):
@@ -603,17 +598,20 @@ def test_level_gaps_reject_a_straddle(monkeypatch):
     # tower: neither gap beside it holds the level, the one after failing
     # the lower comparison and the one before the upper
     tower = build_tower(GOLDEN, golden_base())
-    (((lo, hi),),) = tower.walks[0]
-    half = ArcLocator([R(1, 2)])
-    assert not half.holds(1, lo, hi) and not half.holds(0, lo, hi)
-    assert half.holds(0, lo, R(1, 2)) and half.holds(1, R(1, 2), hi)
+    lattice = tower.lattice.extend([R(1, 2)])
+    up = lattice.L // tower.lattice.L
+    (((A, B, C, E),),) = tower.walks[0]
+    lo, hi, mid = (A * up, B * up), (C * up, E * up), lattice.pair(R(1, 2))
+    half = ArcLocator([R(1, 2)], lattice)
+    assert not half.holds(1, *lo, *hi) and not half.holds(0, *lo, *hi)
+    assert half.holds(0, *lo, *mid) and half.holds(1, *mid, *hi)
     # a refinement whose claimed start gaps are one off, either way, holds
     # a cut point in some claimed gap and raises
     parts = grid_parts(GOLDEN, [3, 12, 20], 2)
     inside = ArcLocator.inside
     for shift in (1, -1):
-        def shifted(self, lo, hi, shift=shift):
-            g, points = inside(self, lo, hi)
+        def shifted(self, *arc, shift=shift):
+            g, points = inside(self, *arc)
             return max(g + shift, 0), points
 
         monkeypatch.setattr(ArcLocator, "inside", shifted)
@@ -626,28 +624,16 @@ def test_level_gaps_reject_a_straddle(monkeypatch):
 # -- the refinement's derived walk and gaps, and the chain check of verify
 
 
-def gaps_by_bisection(tower):
-    """Per column, the gap between the tower's cut points that holds each
-    walked level, by one bisection per level; None for a level that holds
-    a cut point."""
-    points = tower.cuts.points
-    lifted = points + [p + 1 for p in points] + [R(2)]
-    out = []
-    for cell, n in tower.columns:
-        gaps = []
-        for ((lo, hi),) in walk_levels(tower.system, cell.interior(), n):
-            i = bisect_right(points, lo)
-            gaps.append(None if lifted[i] < hi else i)
-        out.append(tuple(gaps))
-    return tuple(out)
+def arc_parts(system, pts):
+    """The arcs between sorted points, two or more, dealt to two parts."""
+    arcs = [(lo, hi) for lo, hi in zip(pts, pts[1:])] + [(pts[-1], pts[0] + 1)]
+    return [Region(system, [(lo, hi, True, True) for lo, hi in arcs[k::2]]) for k in range(2)]
 
 
 def orbit_parts(system, ks):
     """The arcs between the orbit points frac(k theta), dealt to two parts:
     pullbacks of two such points from two levels can coincide."""
-    pts = sorted({(system.theta * R(k)).frac() for k in ks})
-    arcs = [(lo, hi) for lo, hi in zip(pts, pts[1:])] + [(pts[-1], pts[0] + 1)]
-    return [Region(system, [(lo, hi, True, True) for lo, hi in arcs[k::2]]) for k in range(2)]
+    return arc_parts(system, sorted({(system.theta * R(k)).frac() for k in ks}))
 
 
 # two closed arcs, refined on the grid, then at orbit points
@@ -663,14 +649,53 @@ def test_derived_walk_and_gaps_match_walk_and_bisection(Y, grid_cuts, m, ks):
     refined = refine_tower(build_tower(system, Y), grid_parts(system, grid_cuts, m))
     again = refine_tower(refined, orbit_parts(system, ks))
     for t in (refined, again):
-        oracle = gaps_by_bisection(t)
+        oracle = oracle_gaps(t)
         assert len(t.walks) == len(t.level_gaps) == len(t.columns)
         for k, (cell, n) in enumerate(t.columns):
             walked = tuple(walk_levels(system, cell.interior(), n))
             assert len(t.walks[k]) == len(t.level_gaps[k]) == len(walked) == n
             for j, level in enumerate(walked):
-                assert t.walks[k][j] == level
+                assert t.level(k, j) == level
                 assert t.level_gaps[k][j] == oracle[k][j]
+
+
+lattice_bases = st.one_of(
+    circle_bases(max_arcs=2),
+    st.sampled_from(FIELD_THETAS).map(lambda th: Region.full(CircleRotation(th))))
+
+
+# the full circle, cut on the grid, then at orbit points and fifths
+@example(Region.full(GOLDEN), [0, 5, 13, 20], 2, [(0, 0), (1, 0), (-2, 3)])
+# two closed arcs (the walked first return), then cuts at orbit points only
+@example(Region(GOLDEN, [(R(1, 8), R(1, 4), True, True), (R(1, 2), R(5, 8), True, True)]),
+         [3, 11, 17], 3, [(0, 0), (1, 0), (2, 0), (5, 0)])
+# an arc through 0, with 0 itself a cut point
+@example(Region.interval(GOLDEN, R(7, 8), R(9, 8)), [0, 5, 13, 20], 2, [(-1, 0), (0, 0), (3, 2)])
+@settings(max_examples=60, deadline=None)
+@given(lattice_bases, cut_lists, st.integers(2, 3),
+       st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 4)), min_size=2, max_size=5))
+def test_lattice_walks_match_the_scalar_oracle(Y, grid_cuts, m, marks):
+    # towers walked, refined and tiled on integer pairs read back as the
+    # scalar walk, with the gaps and counts of bisection and region scans;
+    # the second refinement's points frac(k theta + r/5) are orbit points
+    # for r = 0 and mostly extend the lattice, so its pairs are rescaled
+    system = Y.system
+    pts = sorted({field_point(system.theta, k, r, 5) for k, r in marks})
+    assume(len(pts) > 1)
+    parts, more = grid_parts(system, grid_cuts, m), arc_parts(system, pts)
+    tower = build_tower(system, Y)
+    refined = refine_tower(tower, parts)
+    again = refine_tower(refined, more)
+    assert refined.lattice.L % tower.lattice.L == 0
+    assert again.lattice.L % refined.lattice.L == 0
+    for t in (tower, refined, again):
+        t.verify()
+        assert materialized(t) == oracle_walks(t)
+    for t in (refined, again):
+        assert t.level_gaps == oracle_gaps(t)
+    for t in (tower, refined, again):
+        for S in parts + more + [p.interior() for p in more]:
+            assert outcome(cp.column_counts, t, S) == outcome(region_scan_counts, t, S)
 
 
 def test_full_circle_tower_refines_from_its_walk():
@@ -727,7 +752,9 @@ def test_chain_check_matches_the_sort(D, data):
     split = draw(st.integers(0, len(lifted)))
     levels = [(arc,) for arc in lifted[:split]]
     levels += [tuple(lifted[j:j + 2]) for j in range(split, len(lifted), 2)]
-    tiles = levels_tile(system, levels)
+    lattice = Lattice([system.theta] + [x for level in levels for arc in level for x in arc])
+    on_lattice = [tuple(lattice.pair(lo) + lattice.pair(hi) for lo, hi in level) for level in levels]
+    tiles = levels_tile(system, on_lattice, lattice)
     assert tiles == levels_disjoint_by_sort(levels)
     if kind == 0:
         assert tiles

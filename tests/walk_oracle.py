@@ -1,0 +1,104 @@
+"""The ExactScalar tower walk and the bisecting ArcLocator, kept as oracles.
+
+`walk_levels(system, opened, n)` walks the levels of an open region the way
+the library once did: on a circle each level is a tuple of lifted open arcs
+(lo, hi) of ExactScalars, one per logical arc, and the next level adds theta
+to each lo and wraps it with one compare; the whole circle is
+`_FULL_LEVEL`.  `ArcLocator` places such arcs against sorted points by
+`bisect_right` and exact comparisons.  The library walks, refines and tiles
+on an integer lattice; `materialized(tower)` reads its levels back as
+scalars (`RokhlinTower.level`), which must equal `oracle_walks(tower)`, and
+its level gaps must equal `oracle_gaps(tower)`.
+"""
+
+from bisect import bisect_right
+
+from dyncomp.regions import _FULL_LEVEL
+from dyncomp.scalars import ExactScalar
+from dyncomp.systems import Odometer
+
+_TWO = ExactScalar(2)
+
+
+def walk_levels(system, opened, n):
+    """Yield the levels h^0(opened), ..., h^(n-1)(opened) of an open region."""
+    if isinstance(system, Odometer):
+        level = opened
+        for j in range(n):
+            if j:
+                level = level.translate(1)
+            yield level
+        return
+    if opened.is_full:
+        for _ in range(n):
+            yield _FULL_LEVEL
+        return
+    arcs = opened.logical_arcs()
+    los = [lo for lo, _, _, _ in arcs]
+    lengths = [hi - lo for lo, hi, _, _ in arcs]
+    theta = system.theta
+    for j in range(n):
+        if j:
+            los = [lo - 1 if lo >= 1 else lo for lo in (lo + theta for lo in los)]
+        yield tuple((lo, lo + ln) for lo, ln in zip(los, lengths))
+
+
+class ArcLocator:
+    """Lifted open arcs against sorted points of the circle, by bisection.
+
+    The points cut the circle into gaps; gap i runs from points[i - 1] to
+    points[i], and gaps 0 and len(points) are the same gap through the
+    last point and the first.  An arc (lo, hi), lo in [0, 1), hi - lo < 1,
+    holds a point strictly inside exactly when the first point after lo,
+    taken cyclically and lifted past lo, lies below hi; otherwise the arc
+    lies in one gap.
+    """
+
+    def __init__(self, points):
+        self.points = list(points)
+        # each point and its lift by 1, then a bound above every hi
+        self.lifted = self.points + [p + 1 for p in self.points] + [_TWO]
+
+    def gap(self, lo, hi):
+        """The index of the gap holding (lo, hi), or None if it holds a point."""
+        i = bisect_right(self.points, lo)
+        return None if self.lifted[i] < hi else i
+
+    def inside(self, lo, hi):
+        """The gap holding lo, and the points strictly inside (lo, hi),
+        lifted into it, ascending."""
+        g = i = bisect_right(self.points, lo)
+        lifted, out = self.lifted, []
+        while lifted[i] < hi:
+            out.append(lifted[i])
+            i += 1
+        return g, out
+
+    def holds(self, g, lo, hi):
+        """Whether (lo, hi), 0 <= lo < hi < 2, lies between lifted points
+        g - 1 and g."""
+        lifted = self.lifted
+        return (g == 0 or lifted[g - 1] <= lo) and hi <= lifted[g]
+
+
+def materialized(tower):
+    """Per column, the tower's levels as the library reads them back."""
+    return tuple(tuple(tower.level(k, j) for j in range(len(walk)))
+                 for k, walk in enumerate(tower.walks))
+
+
+def oracle_walks(tower):
+    """Per column, the levels of its open cell walked with scalars."""
+    out = []
+    for cell, n in tower.columns:
+        opened = cell.interior()
+        out.append(() if opened.is_empty else tuple(walk_levels(tower.system, opened, n)))
+    return tuple(out)
+
+
+def oracle_gaps(tower):
+    """Per column, the gap between a refined tower's cut points that holds
+    each walked level (one arc, as refined cells are), by bisection; None
+    for a level holding a cut point."""
+    locator = ArcLocator(tower.cuts.points)
+    return tuple(tuple(locator.gap(*level[0]) for level in walk) for walk in oracle_walks(tower))
