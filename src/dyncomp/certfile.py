@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedFile
 from .plfun import CylinderFunction, PLFunction
-from .scalars import ZERO
+from .scalars import ZERO, _reduced
 from .specfile import exact_scalar, region_hash, scalar_tokens, system_echo, parse_system_echo
 from .systems import Odometer
 
@@ -64,6 +64,15 @@ def _in_field(x, system):
     if x.b != 0 and x.D != getattr(system, "D", 1):
         raise MalformedFile("scalar %s lies outside the system's field" % x)
     return scalar_tokens(x)
+
+
+def _field_scalar(a, b, c, D):
+    """(a + b sqrt(D))/c for the square-free D > 1 of a circle system,
+    normalized by `_reduced` with no factoring of D; MalformedFile, as
+    from exact_scalar, for a zero denominator."""
+    if c == 0:
+        raise MalformedFile("bad scalar triple: scalar denominator is zero")
+    return _reduced(a, b, c, D)
 
 
 def emit_certfile(cf) -> str:
@@ -153,7 +162,7 @@ def parse_certfile(text) -> CertificateFile:
             if shift is None or vals is not None:
                 raise MalformedFile("bp line outside a circle entry")
             xa, xb, xc, va, vb, vc = _ints(row[1:], 6, "bp")
-            bps.append((exact_scalar(xa, xb, xc, D), exact_scalar(va, vb, vc, D)))
+            bps.append((_field_scalar(xa, xb, xc, D), _field_scalar(va, vb, vc, D)))
         elif row[0] == "val":
             if vals is None:
                 raise MalformedFile("val line outside an odometer entry")

@@ -19,7 +19,6 @@ failures instead of raising; the report rides along in the provenance.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 from .errors import (
     ColumnDeficit,
@@ -44,18 +43,21 @@ from .plfun import (
     integral,
     sum_extrema_on,
     sum_of,
+    support_arcs,
     support_of,
 )
 from .regions import (
     CylinderRegion,
     Region,
+    _cut_last,
     disjoint_inside,
     level_locator,
     measure_gap,
     outer_approx,
+    soup_disjoint_inside,
     translate_region,
 )
-from .scalars import HALF, ONE, ZERO, ExactScalar
+from .scalars import HALF, ONE, ZERO, ExactScalar, dyadic_keys
 from .smallness import (
     DEFAULT_DEPTH,
     leftover_cover,
@@ -328,25 +330,34 @@ def _source_levels(tower, tables):
     return out
 
 
-def _level_entry(S, lo, hi):
-    """1 - S on the lifted closed level [lo, hi] and 0 elsewhere, where S is
-    the leftover cover's sum, which is 1 near both ends of the level.
+def _level_entries(S, levels):
+    """Per lifted closed level [lo, hi] of levels, 1 - S on it and 0
+    elsewhere, where S is the leftover cover's sum, which is 1 near both
+    ends of each level.
 
     Its canonical breakpoints are those of S strictly inside (lo, hi), with
     value 1 - v and S's jump negated; a level through 0 takes them from
-    both sides of the seam.
+    both sides of the seam, up to hi - 1, which is below lo.  They are
+    found by bisection on the `dyadic_keys` of S's abscissae and of the
+    levels' ends, from one call.
     """
     bps, jumps = S.breakpoints, S.jumps
-    key = itemgetter(0)
-    if (hi - ONE).sign() <= 0:
-        k, m = bisect_right(bps, lo, key=key), bisect_left(bps, hi, key=key)
-        inside, kinks = bps[k:m], jumps[k:m]
-    else:
-        k, m = bisect_left(bps, hi - ONE, key=key), bisect_right(bps, lo, key=key)
-        inside, kinks = bps[:k] + bps[m:], jumps[:k] + jumps[m:]
-    if not inside:
-        return PLFunction.constant(ZERO)
-    return PLFunction._canonical([(at, ONE - v) for at, v in inside], [-j for j in kinks])
+    n = len(bps)
+    ends = [e for lo, hi in levels for e in (lo, hi if hi.cmp_int(1) <= 0 else hi - 1)]
+    keys = dyadic_keys(list(S._xs) + ends)
+    xs = keys[:n]
+    out = []
+    for lo, hi in zip(keys[n::2], keys[n + 1::2]):
+        if lo < hi:
+            k, m = bisect_right(xs, lo), bisect_left(xs, hi)
+            inside, kinks = bps[k:m], jumps[k:m]
+        else:  # the level passes 1
+            k, m = bisect_left(xs, hi), bisect_right(xs, lo)
+            inside, kinks = bps[:k] + bps[m:], jumps[:k] + jumps[m:]
+        out.append(PLFunction._canonical([(at, ONE - v) for at, v in inside],
+                                         [-jump for jump in kinks])
+                   if inside else PLFunction.constant(ZERO))
+    return out
 
 
 def _search_depth(search_depth, n, room):
@@ -398,7 +409,7 @@ def _attempt(system, C, U, U0, cert, margins, N_base, search_depth):
 
     S = sum_of(cover.functions)
     entries = tuple(zip(cover.functions, cover.shifts)) + tuple(
-        (_level_entry(S, lo, hi), d) for (lo, hi), d in levels
+        zip(_level_entries(S, [arc for arc, _ in levels]), (d for _, d in levels))
     )
     provenance = ComparisonProvenance(
         certificate=cert,
@@ -515,35 +526,75 @@ def _verified(system, C, U, witness, what):
     return _with_report(witness, report)
 
 
+def _translated_supports(system, entries, U):
+    """(pairwise disjoint, all inside U) for the supports of the entries'
+    PL functions translated by their shifts, with no region built.
+
+    Each support's arcs come from its breakpoint signs (`support_arcs`)
+    and move by frac(d theta), worked out once per distinct shift d; a
+    moved arc starts below 2, so one sign test wraps it, and one more
+    cuts it at the seam.  The pieces of one support stay pairwise
+    disjoint, so one keyed sweep with U's pieces decides both clauses.
+    """
+    shifts = {}
+    soup = []
+    for f, d in entries:
+        arcs = support_arcs(f)
+        if arcs is None:
+            soup.append((ZERO, ONE, True, False))
+            continue
+        s = shifts.get(d)
+        if s is None:
+            s = shifts[d] = (system.theta * d).frac()
+        for lo, hi in arcs:
+            lo, hi = lo + s, hi + s
+            if lo.cmp_int(1) >= 0:
+                lo, hi = lo - 1, hi - 1
+            soup += _cut_last([(lo, hi, True, True)])
+    return soup_disjoint_inside(system, soup, U)
+
+
 def verify_witness(system, C, U, witness) -> VerificationReport:
     """Re-check the four witness clauses exactly; failures become report
-    entries, never exceptions."""
-    if not isinstance(system, (CircleRotation, Odometer)):
+    entries, never exceptions.  On a circle the ranges are sign tests on
+    breakpoint values and the supports go through `_translated_supports`;
+    regions are built only to name the entries that leave U."""
+    circle = isinstance(system, CircleRotation)
+    if not circle and not isinstance(system, Odometer):
         raise MixedAmbient("witness verification runs over circle rotations and odometers")
+    entries = witness.entries
     failures = []
     ranges_ok = True
-    for i, (f, _) in enumerate(witness.entries):
-        lo, hi = f.range_bounds()
-        if lo.sign() < 0 or (hi - ONE).sign() > 0:
+    for i, (f, _) in enumerate(entries):
+        if circle:  # f is linear between its breakpoints
+            bad = not all(v.sign() >= 0 and v.cmp_int(1) <= 0 for _, v in f.breakpoints)
+        else:
+            lo, hi = f.range_bounds()
+            bad = lo.sign() < 0 or (hi - ONE).sign() > 0
+        if bad:
             ranges_ok = False
             failures.append("entry %d leaves [0, 1]" % i)
     part_ok = True
     CC = C.closure()
     if not CC.is_empty:
-        fns = [f for f, _ in witness.entries]
+        fns = [f for f, _ in entries]
         # the sum of no functions is 0
         mn, mx = sum_extrema_on(fns, CC) if fns else (ZERO, ZERO)
         if mn != ONE or mx != ONE:
             part_ok = False
             failures.append("sum over the closed set spans [%s, %s]" % (mn, mx))
-    translated = [translate_region(system, support_of(system, f), d)
-                  for f, d in witness.entries]
-    disj_ok, inside_ok = disjoint_inside(system, translated, U)
+    if circle:
+        disj_ok, inside_ok = _translated_supports(system, entries, U)
+    else:
+        translated = [translate_region(system, support_of(system, f), d) for f, d in entries]
+        disj_ok, inside_ok = disjoint_inside(system, translated, U)
     if not disj_ok:
         failures.append("translated supports overlap")
     if not inside_ok:
-        failures.extend("translated support %d leaves the open set" % i
-                        for i, sup in enumerate(translated) if not U.contains_region(sup))
+        failures.extend(
+            "translated support %d leaves the open set" % i
+            for i, (f, d) in enumerate(entries)
+            if not U.contains_region(translate_region(system, support_of(system, f), d)))
     clauses = (
         ("ranges within [0, 1]", ranges_ok),
         ("sums to 1 on the closed set", part_ok),

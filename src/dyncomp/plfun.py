@@ -15,7 +15,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 
 from .errors import (
     BreakpointBudget,
@@ -23,9 +22,9 @@ from .errors import (
     MixedAmbient,
     NoGap,
 )
-from .scalars import ExactScalar, Lattice, ONE, ZERO, _reduced, _sign_surd
+from .scalars import ExactScalar, Lattice, ONE, ZERO, _reduced, _sign_surd, dyadic_keys
 from .systems import CircleRotation, Odometer
-from .regions import CylinderRegion, Region
+from .regions import CylinderRegion, Region, _cut_last
 
 
 class PLFunction:
@@ -44,15 +43,20 @@ class PLFunction:
         if not pts:
             raise EmptyInput("a PL function needs at least one breakpoint")
         pts.sort(key=lambda p: p[0])
-        if pts[0][0].sign() < 0 or (pts[-1][0] - ONE).sign() >= 0:
+        top = pts[-1][0]
+        if pts[0][0].sign() < 0 or top.cmp_int(1) >= 0:
             raise ValueError("breakpoint abscissae must lie in [0, 1)")
         for (x0, _), (x1, _) in zip(pts, pts[1:]):
             if x0 == x1:
                 raise ValueError("duplicate breakpoint abscissa %r" % (x0,))
+        fields = {s.D for p in pts for s in p if s.b}
+        if len(fields) > 1:
+            raise ValueError("incompatible quadratic fields D=%d, D=%d" % tuple(sorted(fields))[:2])
+        D = fields.pop() if fields else 1
         # each segment's slope, the one wrapping 1 -> 0 last; a breakpoint
         # stays where the slopes on its two sides differ
-        ends = pts[1:] + [(pts[0][0] + ONE, pts[0][1])]
-        s = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(pts, ends)]
+        ends = pts[1:] + [(pts[0][0] + 1, pts[0][1])]
+        s = [_slope(xa, va, xb, vb, D) for (xa, va), (xb, vb) in zip(pts, ends)]
         jp = [b - a for a, b in zip(s[-1:] + s, s)]
         kinks = [i for i, j in enumerate(jp) if j]
         if kinks:
@@ -132,6 +136,17 @@ class PLFunction:
         return global_extrema(self)[:2]
 
 
+def _slope(xa, va, xb, vb, D):
+    """(vb - va) / (xb - xa) for xa != xb, all four in Q(sqrt(D)), with one
+    normalization: the differences (P + Q sqrt(D))/cv and (R + S sqrt(D))/cx
+    stay integers, and the quotient is taken through the conjugate."""
+    P, Q = vb.a * va.c - va.a * vb.c, vb.b * va.c - va.b * vb.c
+    R, S = xb.a * xa.c - xa.a * xb.c, xb.b * xa.c - xa.b * xb.c
+    cx = xa.c * xb.c
+    return _reduced((P * R - Q * S * D) * cx, (Q * R - P * S) * cx,
+                    (R * R - S * S * D) * va.c * vb.c, D)
+
+
 @dataclass(frozen=True)
 class SupportReport:
     """Closure of {f != 0} and the exact level set {f = 1}."""
@@ -140,33 +155,47 @@ class SupportReport:
     one_set: object
 
 
-def support_of(system, f):
-    """Closure of {f != 0}: a CylinderRegion for a cylinder function, a
-    closed Region for a PL function."""
-    if isinstance(f, CylinderFunction):
-        return CylinderRegion(system, [i for i, v in enumerate(f.values) if v.sign() != 0])
+def support_arcs(f):
+    """The closure of {f != 0} for a PL function f as closed lifted arcs
+    (lo, hi), lo in [0, 1) and in order, read from the signs of its
+    breakpoint values; None when it is the whole circle.
+
+    f is linear on each segment, so it vanishes at no more than one point
+    of a segment with a nonzero end: the closure holds the whole segment.
+    Each run of such segments is one arc; zero segments have positive
+    length, so the arcs are separated.  A run through the segment that
+    wraps 1 -> 0 takes in the run from the first breakpoint, and comes
+    last, ending past 1.
+    """
     bps = f.breakpoints
     if len(bps) == 1:
-        return Region.empty(system) if bps[0][1].sign() == 0 else Region.full(system)
-    # f is linear on each segment, so it vanishes at no more than one point
-    # of a segment with a nonzero end: the closure holds the whole segment.
-    # Each run of such segments is one closed piece; zero segments have
-    # positive length, so the pieces come out separated and in order.
-    nonzero = [v.sign() != 0 for _, v in bps]
+        return [] if bps[0][1].sign() == 0 else None
+    nonzero = [bool(v) for _, v in bps]
     held = [a or b for a, b in zip(nonzero, nonzero[1:] + nonzero[:1])]
     if all(held):
-        return Region.full(system)
-    pieces, lo = [], None
-    for (x, _), h in zip(bps, held):
+        return None
+    arcs, lo = [], None
+    for x, h in zip(f._xs, held):
         if h and lo is None:
             lo = x
         elif not h and lo is not None:
-            pieces.append((lo, x, True, True))
+            arcs.append((lo, x))
             lo = None
-    if lo is not None:  # the last run passes 1: cut it at 0
-        first = pieces.pop(0)[1] if held[0] else bps[0][0]
-        pieces = [(ZERO, first, True, True)] + pieces + [(lo, ONE, True, False)]
-    return Region._make(system, tuple(pieces))
+    if lo is not None:  # the last run passes 1
+        hi = arcs.pop(0)[1] if held[0] else bps[0][0]
+        arcs.append((lo, hi + 1))
+    return arcs
+
+
+def support_of(system, f):
+    """Closure of {f != 0}: a CylinderRegion for a cylinder function, a
+    closed Region, `support_arcs` cut at the seam, for a PL function."""
+    if isinstance(f, CylinderFunction):
+        return CylinderRegion(system, [i for i, v in enumerate(f.values) if v.sign() != 0])
+    arcs = support_arcs(f)
+    if arcs is None:
+        return Region.full(system)
+    return Region._make(system, _cut_last([(lo, hi, True, True) for lo, hi in arcs]))
 
 
 def support_report(system, f) -> SupportReport:
@@ -223,21 +252,22 @@ def _merged(fns):
     """The distinct abscissae of fns in increasing order, each paired with
     the (function index, breakpoint index) pairs that sit on it.
 
-    One sort of all the abscissae, tagged with their owners; the functions
-    go in in order of their first abscissa, so the list is made of sorted
-    runs that the sort only has to merge.
+    One sort of all the abscissae by their `dyadic_keys`, tagged with their
+    owners; equal keys are equal abscissae.
     """
     tagged = []
-    for fi in sorted(range(len(fns)), key=lambda fi: fns[fi]._xs[0]):
-        xs = fns[fi]._xs
-        tagged += zip(xs, repeat(fi), range(len(xs)))
-    tagged.sort(key=itemgetter(0))
+    for fi, f in enumerate(fns):
+        tagged += zip(f._xs, repeat(fi), range(len(f._xs)))
+    keys = dyadic_keys([t[0] for t in tagged])
     owners = []
-    for x, fi, i in tagged:
-        if owners and x != at:
-            yield at, owners
-            owners = []
-        at = x
+    last = None
+    for key, j in sorted(zip(keys, range(len(tagged)))):
+        x, fi, i = tagged[j]
+        if key != last:
+            if owners:
+                yield at, owners
+                owners = []
+            at, last = x, key
         owners.append((fi, i))
     if owners:
         yield at, owners
@@ -596,15 +626,23 @@ def bump(F, W) -> PLFunction:
 
 
 def trapezoid(x, w) -> PLFunction:
-    """bump([x - w/2, x + w/2], (x - w, x + w)) in closed form, for
-    0 < w <= 1/2: 0 at x -/+ 3w/4 and 1 from x - w/2 to x + w/2.  The
-    corners are in circular order, so they start at the least one."""
+    """bump([x - w/2, x + w/2], (x - w, x + w)) in closed form, for x in
+    [0, 1) and 0 < w <= 1/2: 0 at x -/+ 3w/4 and 1 from x - w/2 to x + w/2.
+    The corners lie within 3/8 of [0, 1), so one sign test wraps each: a
+    low corner below 0 moves past the others, a high one at 1 or more in
+    front of them, and the corners start at the least one."""
     q = w / 4
     r = ONE / q  # the ramps' slope
-    pts = [((x + k * q).frac(), v) for k, v in ((-3, ZERO), (-2, ONE), (2, ONE), (3, ZERO))]
+    pts, start = [], 0
+    for i, (k, v) in enumerate(((-3, ZERO), (-2, ONE), (2, ONE), (3, ZERO))):
+        y = x + k * q
+        if k < 0 and y.sign() < 0:
+            y, start = y + 1, i + 1
+        elif k > 0 and y.cmp_int(1) >= 0:
+            y, start = y - 1, start or i
+        pts.append((y, v))
     jumps = [r, -r, -r, r]
-    k = min(range(4), key=lambda i: pts[i][0])
-    return PLFunction._canonical(pts[k:] + pts[:k], jumps[k:] + jumps[:k])
+    return PLFunction._canonical(pts[start:] + pts[:start], jumps[start:] + jumps[:start])
 
 
 def min_cascade(system, gs):

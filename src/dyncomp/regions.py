@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import EmptyInput, MixedAmbient, NotNull
-from .scalars import ExactScalar, ZERO, ONE, _sign_surd
+from .scalars import ExactScalar, ZERO, ONE, _sign_surd, dyadic_keys
 from .systems import CircleRotation, Odometer, TorusRotation, circle_norm
 
 
@@ -88,14 +88,30 @@ def _split_lifted(lo, hi, lc, hc):
     return [(lo, ONE, lc, False), (ZERO, hi - 1, True, hc)]
 
 
-def _critical_points(split_lists):
+def _cut_last(arcs):
+    """Canonical pieces of separated lifted arcs in order, lo in [0, 1),
+    of which only the last may reach 1: it is cut at the seam, and the
+    part from 0 goes in front."""
+    if not arcs:
+        return ()
+    lo, hi, lc, hc = arcs[-1]
+    t = hi.cmp_int(1)
+    if t < 0:
+        return tuple(arcs)
+    front = [(ZERO, hi - 1, True, hc)] if t > 0 else [(ZERO, ZERO, True, True)] if hc else []
+    return tuple(front + arcs[:-1] + [(lo, ONE, lc, False)])
+
+
+def _critical_points(split_lists, zero=ZERO, one=ONE):
     """Sorted distinct critical points of piece lists, with each piece's
     cell indices, from one sort of the tagged endpoints.
 
-    The critical points are 0 and every piece end below 1.  Returns (pts,
-    cells): cells[k][t] is [i, j] for piece t of list k, running from
-    pts[i] to pts[j]; j = i for a point piece and j = -1 for a piece that
-    ends at 1.
+    The critical points are 0 and every piece end below 1.  zero and one
+    stand for 0 and 1, so the piece ends may be any exactly ordered
+    stand-ins, such as `dyadic_keys`, given in the same terms.  Returns
+    (pts, cells): cells[k][t] is [i, j] for piece t of list k, running
+    from pts[i] to pts[j]; j = i for a point piece and j = -1 for a piece
+    that ends at 1.
     """
     tagged = []
     cells = []
@@ -104,12 +120,12 @@ def _critical_points(split_lists):
         for lo, hi, _, _ in pieces:
             cell = [0, -1]
             tagged.append((lo, cell, 0))
-            if hi != ONE:
+            if hi != one:
                 tagged.append((hi, cell, 1))
             row.append(cell)
         cells.append(row)
     tagged.sort(key=itemgetter(0))
-    last = ZERO
+    last = zero
     pts = [last]
     for x, cell, end in tagged:
         if x != last:
@@ -380,15 +396,7 @@ class Region:
         back = shift - 1
         out = [(lo + back, hi + back, lc, hc) for lo, hi, lc, hc in arcs[k:]]
         out += [(lo + shift, hi + shift, lc, hc) for lo, hi, lc, hc in arcs[:k]]
-        lo, hi, lc, hc = out[-1]
-        t = (hi - 1).sign()
-        if t >= 0:
-            out[-1] = (lo, ONE, lc, False)
-            if t > 0:
-                out.insert(0, (ZERO, hi - 1, True, hc))
-            elif hc:
-                out.insert(0, (ZERO, ZERO, True, True))
-        return Region._make(self.system, tuple(out))
+        return Region._make(self.system, _cut_last(out))
 
     def logical_arcs(self):
         """Pieces with the wrap seam re-joined, in lifted coordinates.
@@ -451,16 +459,30 @@ def pairwise_disjoint(system, regions) -> bool:
 
 
 def disjoint_inside(system, regions, U):
-    """(pairwise disjoint, all inside U) for canonical regions, from one
-    sweep of U against the soup on the circle, or from the union of the
-    index sets on an odometer."""
-    _ambient(system, U)
+    """(pairwise disjoint, all inside U) for canonical regions, from the
+    union of the index sets on an odometer, or from one keyed sweep of
+    their pieces against U's on the circle (`soup_disjoint_inside`)."""
     if isinstance(system, Odometer):
+        _ambient(system, U)
         union, total = _index_union(system, regions)
         return len(union) == total, union <= U.indices
-    soup = _pieces(system, regions)
-    pts, (ucells, cells) = _critical_points([U.pieces, soup])
-    ucov, (si, sp) = _coverage(len(pts), U.pieces, ucells), _coverage(len(pts), soup, cells)
+    return soup_disjoint_inside(system, _pieces(system, regions), U)
+
+
+def soup_disjoint_inside(system, soup, U):
+    """(pairwise disjoint, all inside U) for a soup of circle pieces
+    (lo, hi, lc, hc), each cut at the seam, in which the pieces of one
+    region are pairwise disjoint: a cell covered twice is an overlap, and
+    a covered cell outside U an escape.  One sweep of the soup and U's
+    pieces runs on the `dyadic_keys` of every piece end and of 1, from one
+    call, so it sorts and compares integers."""
+    _ambient(system, U)
+    pieces = list(soup) + list(U.pieces)
+    keys = dyadic_keys([e for lo, hi, _, _ in pieces for e in (lo, hi)] + [ONE])
+    keyed = [(keys[2 * i], keys[2 * i + 1], lc, hc) for i, (_, _, lc, hc) in enumerate(pieces)]
+    soup, upieces = keyed[:len(soup)], keyed[len(soup):]
+    pts, (ucells, cells) = _critical_points([upieces, soup], 0, keys[-1])
+    ucov, (si, sp) = _coverage(len(pts), upieces, ucells), _coverage(len(pts), soup, cells)
     inside = all(u or not s for us, ss in zip(ucov, (si, sp)) for u, s in zip(us, ss))
     return max(si) <= 1 and max(sp) <= 1, inside
 

@@ -139,6 +139,11 @@ class ExactScalar:
             self.a * c2 - other.a * c1, self.b * c2 - other.b * c1, self._join(other)
         )
 
+    def cmp_int(self, n: int) -> int:
+        """Sign of self - n for an integer n: one integer sign test, with
+        no scalar built."""
+        return _sign_surd(self.a - n * self.c, self.b, self.D)
+
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
@@ -301,6 +306,42 @@ def _reduced(a: int, b: int, c: int, D: int) -> ExactScalar:
     if g > 1:
         a, b, c = a // g, b // g, c // g
     return _new(a, b, c, D)
+
+
+def dyadic_keys(xs) -> list:
+    """The integer keys floor(x * 2^k) of scalars xs, with one k for them.
+
+    With alpha the largest |a| or |b| and gamma the largest c among xs,
+    k = 3 bits(gamma) + bits(alpha) + bits(D) + 1, so 2^k exceeds
+    2 alpha gamma^3 (1 + sqrt(D)).  Two distinct values of Q(sqrt(D))
+    differ by (A + B sqrt(D))/(c1 c2) with |A|, |B| <= 2 alpha gamma and
+    |A + B sqrt(D)| |A - B sqrt(D)| = |A^2 - D B^2| >= 1, so by at least
+    1/(2 alpha gamma^3 (1 + sqrt(D))) > 2^-k: the keys order exactly as the
+    values do, and are equal only for equal values.  Each key is integer
+    work on its own scalar: floor(y / c) = floor(floor(y) / c), and
+    floor(b sqrt(D) 2^k) is isqrt(b^2 D 4^k), less 1 more when b < 0, as
+    the root is irrational.  Keys of separate calls are not comparable.
+    Irrational scalars of two fields raise.
+    """
+    fields = {x.D for x in xs if x.b}
+    if len(fields) > 1:
+        first = next(x.D for x in xs if x.b)
+        other = next(x.D for x in xs if x.b and x.D != first)
+        raise ValueError("incompatible quadratic fields D=%d, D=%d" % (first, other))
+    D = fields.pop() if fields else 1
+    alpha = max((max(abs(x.a), abs(x.b)) for x in xs), default=0)
+    k = 3 * max((x.c for x in xs), default=1).bit_length() + alpha.bit_length()
+    k += D.bit_length() + 1
+    k2, isqrt = 2 * k, math.isqrt
+    out = []
+    for x in xs:
+        a, b = x.a << k, x.b
+        if b > 0:
+            a += isqrt(b * b * D << k2)
+        elif b:
+            a -= isqrt(b * b * D << k2) + 1
+        out.append(a // x.c)
+    return out
 
 
 class Lattice:

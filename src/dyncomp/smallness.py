@@ -23,7 +23,7 @@ from .errors import (
     SearchExhausted,
     UnprovenInput,
 )
-from .scalars import ExactScalar, ONE, ZERO
+from .scalars import ExactScalar, ONE, ZERO, dyadic_keys
 from .systems import CircleRotation, Odometer, TorusRotation, circle_norm, three_gap
 from .regions import (
     BoxRegion,
@@ -101,16 +101,19 @@ def _point_list(system, F):
 
 
 def _orbit_classes(system, points):
-    """Group points by x ~ y iff y = h^k(x); returns [(rep, [(point, k)])]."""
-    classes = []
+    """Group points by x ~ y iff y = h^k(x); returns [(rep, [(point, k)])],
+    classes in order of their first point, the rep.  One dict lookup per
+    point on the system's `orbit_key` (o, j): points share o exactly when
+    they share an orbit, and the shift from rep to p is j(p) - j(rep)."""
+    classes, index = [], {}
     for p in points:
-        for rep, members in classes:
-            k = system.orbit_shift(rep, p)
-            if k is not None:
-                members.append((p, k))
-                break
+        o, j = system.orbit_key(p)
+        if o in index:
+            j0, members = index[o]
+            members.append((p, j - j0))
         else:
-            classes.append((p, [(p, 0)]))
+            index[o] = j, [(p, 0)]
+            classes.append((p, index[o][1]))
     return classes
 
 
@@ -217,22 +220,6 @@ def verify_smallness(system, F, cert, window: int = 8):
 
 
 # -- thin covers
-
-
-def _min_circle_gap(points):
-    """Smallest pairwise distance among distinct circle points, or None."""
-    pts = sorted(points)
-    if len(pts) < 2:
-        return None
-    best = None
-    for a, b in zip(pts, pts[1:]):
-        g = b - a
-        if best is None or g < best:
-            best = g
-    wrap = pts[0] + ONE - pts[-1]
-    if wrap < best:
-        best = wrap
-    return best
 
 
 def _hit_parts(system, U):
@@ -409,12 +396,35 @@ def _assign_targets(system, points, U, depth):
 
 
 def _target_gaps(targets, U):
-    """Circle distance from each target to the complement of U (1 when U
-    is the whole circle), with the complement built once."""
-    if U.is_full:
-        return [ONE] * len(targets)
-    rest = U.complement()
-    return [arc_point_gap(t, rest) for t in targets]
+    """Per target, a point of U, its circle distance to the complement of
+    U (1 when U is the whole circle), and the least circle distance
+    between two targets (None for fewer than two).
+
+    One `dyadic_keys` call keys the targets and the ends of U's
+    complement, which come sorted.  A target's nearest end is one of its
+    two cyclic neighbours among them, found by bisection, and the least
+    pairwise gap is between neighbours in key order.
+    """
+    ends = [] if U.is_full else [e for lo, hi, _, _ in U.complement().pieces for e in (lo, hi)]
+    n = len(ends)
+    keys = dyadic_keys(ends + list(targets))
+    tkeys = keys[n:]
+    gaps = []
+    for t, key in zip(targets, tkeys):
+        if not n:
+            gaps.append(ONE)
+            continue
+        i = bisect.bisect_left(keys, key, 0, n)
+        gaps.append(min(circle_norm(t - ends[i - 1]), circle_norm(t - ends[i % n])))
+    pts = [targets[i] for i in sorted(range(len(targets)), key=tkeys.__getitem__)]
+    if len(pts) < 2:
+        return gaps, None
+    pair = pts[0] + ONE - pts[-1]
+    for a, b in zip(pts, pts[1:]):
+        g = b - a
+        if g < pair:
+            pair = g
+    return gaps, pair
 
 
 def _plan(system, F, U, search_depth, kind, eps=None):
@@ -434,10 +444,10 @@ def _plan(system, F, U, search_depth, kind, eps=None):
     assigned = _assign_targets(system, points, U, search_depth)
     targets = tuple(t for t, _ in assigned)
     caps = [] if eps is None else [eps / (2 * len(points))]
-    pair = _min_circle_gap(targets)
+    gaps, pair = _target_gaps(targets, U)
     if pair is not None:
         caps.append(pair)
-    spans = tuple(min([g] + caps) for g in _target_gaps(targets, U))
+    spans = tuple(min([g] + caps) for g in gaps)
     return points, targets, tuple(d for _, d in assigned), spans
 
 

@@ -18,6 +18,14 @@ def circle_norm(x: ExactScalar) -> ExactScalar:
     return f if f <= HALF else ONE - f
 
 
+def _orbit_shift(system, p, q) -> int | None:
+    """The unique k with h^k(p) = q, or None if p, q are on distinct
+    orbits: their `orbit_key`s (o, j) share o exactly when they share an
+    orbit, and then k is the difference of their j."""
+    (o, j), (o2, j2) = system.orbit_key(p), system.orbit_key(q)
+    return j2 - j if o == o2 else None
+
+
 class CircleRotation:
     """Minimal rotation x -> x + theta (mod 1) by a quadratic irrational."""
 
@@ -42,29 +50,23 @@ class CircleRotation:
     def apply(self, point: ExactScalar, n: int = 1) -> ExactScalar:
         return (ExactScalar.coerce(point) + n * self.theta).frac()
 
-    def orbit_shift(self, p: ExactScalar, q: ExactScalar) -> int | None:
-        """The unique k with h^k(p) = q, or None if p, q are on distinct orbits.
+    orbit_shift = _orbit_shift
 
-        q - p = k*theta + n is decided by matching sqrt(D) coefficients: the
-        candidate k is forced, then the rational parts must differ by an integer.
+    def orbit_key(self, p: ExactScalar) -> tuple:
+        """(o, j) with h^j(o) = p, where o is one point for the whole orbit.
+
+        Points of one orbit differ by k theta + n, so their sqrt(D) parts
+        b/c differ by k theta.b/theta.c.  With j = floor((p.b/p.c) /
+        (theta.b/theta.c)), p - j theta has a sqrt(D) part in one fixed
+        interval of length |theta.b/theta.c|, so o = frac(p - j theta) is
+        the same point for p and h^k(p), and j grows by k.  A point of
+        another field is alone on its orbit among the scalars, so o = p.
         """
-        diff = ExactScalar.coerce(q).frac() - ExactScalar.coerce(p).frac()
-        th = self.theta
-        if diff.b == 0:
-            k = 0
-        else:
-            if diff.D != th.D:
-                return None
-            # k * (th.b / th.c) = diff.b / diff.c
-            num = diff.b * th.c
-            den = diff.c * th.b
-            if num % den != 0:
-                return None
-            k = num // den
-        rem = diff - k * th
-        if rem.b != 0:
-            return None
-        return k if rem.frac().sign() == 0 else None
+        p, th = ExactScalar.coerce(p), self.theta
+        if p.b and p.D != th.D:
+            return p.frac(), 0
+        j = (p.b * th.c) // (p.c * th.b)
+        return (p - th * j).frac(), j
 
 
 class TorusRotation:
@@ -106,16 +108,17 @@ class TorusRotation:
             raise MixedAmbient("point dimension mismatch")
         return tuple((ExactScalar.coerce(x) + n * t).frac() for x, t in zip(point, self.thetas))
 
-    def orbit_shift(self, p, q) -> int | None:
-        if len(p) != self.dim or len(q) != self.dim:
+    orbit_shift = _orbit_shift
+
+    def orbit_key(self, p) -> tuple:
+        """(o, j) with h^j(o) = p and o one key for the whole orbit: the
+        factors' orbit keys and the differences of their j from the
+        first's, which h^k leaves alone, with j the first factor's."""
+        if len(p) != self.dim:
             raise MixedAmbient("point dimension mismatch")
-        ks = set()
-        for f, a, b in zip(self.factors, p, q):
-            k = f.orbit_shift(a, b)
-            if k is None:
-                return None
-            ks.add(k)
-        return ks.pop() if len(ks) == 1 else None
+        keys = [f.orbit_key(x) for f, x in zip(self.factors, p)]
+        j = keys[0][1]
+        return tuple(o for o, _ in keys) + tuple(i - j for _, i in keys[1:]), j
 
 
 class Odometer:

@@ -21,7 +21,7 @@ from .errors import (
     MixedAmbient,
     NonTerminationGuard,
 )
-from .scalars import ExactScalar, Lattice, ONE, ZERO, _sign_surd
+from .scalars import ExactScalar, Lattice, ONE, ZERO, _sign_surd, dyadic_keys
 from .systems import CircleRotation, Odometer, min_orbit_gap, three_gap
 from .regions import (
     _FULL_LEVEL,
@@ -220,18 +220,37 @@ def disjoint_base(system, N: int):
     if isinstance(system, CircleRotation):
         half = min_orbit_gap(system, N) / 6
         Y = Region(system, [(-half, half, True, True)])
-    elif isinstance(system, Odometer):
-        gap = min_orbit_gap(system, N)  # 1/K_m for the coarsest fine-enough level
-        Km = int((ONE / gap).as_fraction())
-        Y = CylinderRegion(system, range(0, system.resolution, Km))
-    else:
+        if not _centres_apart(system, N, half + half):
+            raise RuntimeError("disjoint base postcondition failed")
+        return Y
+    if not isinstance(system, Odometer):
         raise MixedAmbient("towers are built over circle rotations and odometers")
+    gap = min_orbit_gap(system, N)  # 1/K_m for the coarsest fine-enough level
+    Km = int((ONE / gap).as_fraction())
+    Y = CylinderRegion(system, range(0, system.resolution, Km))
     copies = [Y]
     for _ in range(N):
         copies.append(translate_region(system, copies[-1], 1))
     if not pairwise_disjoint(system, copies):
         raise RuntimeError("disjoint base postcondition failed")
     return Y
+
+
+def _centres_apart(system, N, diameter):
+    """Whether the closed arcs of a diameter below 1 about the centres
+    frac(k theta), 0 <= k <= N, are pairwise disjoint: one chain through
+    the centres sorted by `dyadic_keys`, as each arc's nearest others are
+    about its cyclic neighbours, so every gap between neighbours, the one
+    through 1 included, must exceed the diameter."""
+    centres, x = [ZERO], ZERO
+    for _ in range(N):
+        x = x + system.theta
+        if x.cmp_int(1) >= 0:
+            x = x - 1
+        centres.append(x)
+    keys = dyadic_keys(centres)
+    pts = [centres[i] for i in sorted(range(N + 1), key=keys.__getitem__)]
+    return all(diameter < b - a for a, b in zip(pts, pts[1:] + [pts[0] + 1]))
 
 
 # -- refinement
