@@ -47,11 +47,12 @@ from .plfun import (
     support_of,
 )
 from .regions import (
+    ArcLocator,
     CylinderRegion,
     Region,
+    _ambient,
     _cut_last,
     disjoint_inside,
-    level_locator,
     measure_gap,
     outer_approx,
     soup_disjoint_inside,
@@ -272,29 +273,67 @@ def column_counts(tower, S):
     tower was not refined against S and raises UnrefinedTower.  Columns
     with empty interior have no open levels and yield empty tuples.
 
-    On a refined circle tower each level lies in one gap between the cut
-    points (`level_gaps`); when every gap lies in S or misses it, so does
-    each level in it, and no level is located on its own.
+    On a circle S's boundary points cut the circle into gaps, each wholly
+    inside S or outside its closure; one point per gap says which.  On a
+    refined tower whose cut points include them all, each cut gap lies in
+    the gap of S holding its start (one merge), and every level takes the
+    side of its cut gap (`level_gaps`).  Otherwise `ArcLocator` places each
+    walked arc on the tower's lattice extended by S's boundary points: an
+    arc holding one straddles S, and so does the whole circle.
     """
-    locate = level_locator(tower.system, S)
-    pts = tower.cuts.points if tower.cuts is not None else ()
-    if pts:
-        wrap = locate(((pts[-1], pts[0] + 1),))
-        sides = [wrap] + [locate(((a, b),)) for a, b in zip(pts, pts[1:])] + [wrap]
-        if None not in sides:
-            return tuple(tuple(j for j, g in enumerate(gaps) if sides[g])
-                         for gaps in tower.level_gaps)
+    system = tower.system
+    _ambient(system, S)
     out = []
-    for k, walk in enumerate(tower.walks):
+    if isinstance(system, Odometer):
+        for walk in tower.walks:
+            hits = []
+            for j, level in enumerate(walk):
+                if S.contains_region(level):
+                    hits.append(j)
+                elif S.intersects(level):
+                    raise UnrefinedTower("open level straddles the test region")
+            out.append(tuple(hits))
+        return tuple(out)
+    pts = S.boundary_points()
+    if not pts:
+        return tuple(tuple(range(len(walk))) if S.is_full else () for walk in tower.walks)
+    sides = [S.contains_point((pts[-1] + pts[0] + 1) / 2)]
+    sides += [S.contains_point((a + b) / 2) for a, b in zip(pts, pts[1:])]
+    sides.append(sides[0])
+    at = _gaps_among_cuts(tower.cuts.points, pts) if tower.cuts is not None else None
+    if at is not None:
+        inside = [sides[i] for i in at]
+        return tuple(tuple(j for j, g in enumerate(gaps) if inside[g])
+                     for gaps in tower.level_gaps)
+    lattice = tower.lattice.extend(pts)
+    up = lattice.L // tower.lattice.L
+    locator = ArcLocator(pts, lattice)
+    for (cell, _), walk in zip(tower.columns, tower.walks):
+        if walk and cell.is_full:
+            raise UnrefinedTower("open level straddles the test region")
         hits = []
-        for j in range(len(walk)):
-            where = locate(tower.level(k, j))
-            if where is None:
+        for j, level in enumerate(walk):
+            gaps = [locator.inside(A * up, B * up, C * up, E * up) for A, B, C, E in level]
+            if any(held for _, held in gaps) or len({sides[g] for g, _ in gaps}) > 1:
                 raise UnrefinedTower("open level straddles the test region")
-            if where:
+            if sides[gaps[0][0]]:
                 hits.append(j)
         out.append(tuple(hits))
     return tuple(out)
+
+
+def _gaps_among_cuts(cuts, pts):
+    """For each gap between sorted cut points, numbered as in `ArcLocator`,
+    the gap between the sorted points pts that holds it, by one merge;
+    None when some point of pts is not a cut point."""
+    at, i = [0], 0
+    for c in cuts:
+        if i < len(pts) and pts[i] < c:
+            return None
+        if i < len(pts) and pts[i] == c:
+            i += 1
+        at.append(i)
+    return at if i == len(pts) else None
 
 
 def column_matching(source_counts, target_counts):
@@ -426,8 +465,9 @@ def dynamic_comparison(
     """Witness that C is dominated by U: functions summing to exactly 1 on
     C whose supports translate into U pairwise disjointly.
 
-    Circle rotations run the tower pipeline (three attempts, each with a
-    taller tower than the last); odometers reduce to the clopen matching.
+    Circle rotations run the tower pipeline (up to three attempts, each
+    with a taller tower than the last, while the columns or the orbit
+    search fall short); odometers reduce to the clopen matching.
     """
     if isinstance(system, Odometer):
         return clopen_comparison(system, C, U)
@@ -453,22 +493,15 @@ def dynamic_comparison(
     cert = birkhoff_certificate(system, C1.closure(), U0, fraction, bp_cap)
 
     N_base = cert.N0
-    failure = None
-    for _ in range(3):
+    for retries in (2, 1, 0):
         try:
             witness = _attempt(system, C1, U, U0, cert, margins, N_base, search_depth)
-        except (ColumnDeficit, SearchExhausted) as exc:
-            failure = exc
+            break
+        except (ColumnDeficit, SearchExhausted):
+            if not retries:
+                raise
             N_base *= 3
-            continue
-        report = verify_witness(system, C, U, witness)
-        if report.ok:
-            return _with_report(witness, report)
-        failure = RuntimeError(
-            "witness verification failed: " + "; ".join(report.failures)
-        )
-        N_base *= 3
-    raise failure
+    return _verified(system, C, U, witness, "comparison witness")
 
 
 # -- clopen comparison on odometers

@@ -13,7 +13,6 @@ value per level-n cylinder and the PL machinery degenerates to vectors.
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import (
@@ -147,14 +146,6 @@ def _slope(xa, va, xb, vb, D):
                     (R * R - S * S * D) * va.c * vb.c, D)
 
 
-@dataclass(frozen=True)
-class SupportReport:
-    """Closure of {f != 0} and the exact level set {f = 1}."""
-
-    support: object
-    one_set: object
-
-
 def support_arcs(f):
     """The closure of {f != 0} for a PL function f as closed lifted arcs
     (lo, hi), lo in [0, 1) and in order, read from the signs of its
@@ -196,33 +187,6 @@ def support_of(system, f):
     if arcs is None:
         return Region.full(system)
     return Region._make(system, _cut_last([(lo, hi, True, True) for lo, hi in arcs]))
-
-
-def support_report(system, f) -> SupportReport:
-    """support_of(system, f) together with the exact level set {f = 1}."""
-    sup = support_of(system, f)
-    if isinstance(f, CylinderFunction):
-        ones = [i for i, v in enumerate(f.values) if v == ONE]
-        return SupportReport(sup, CylinderRegion(system, ones))
-    bps = f.breakpoints
-    if len(bps) == 1:
-        one = Region.full(system) if bps[0][1] == ONE else Region.empty(system)
-        return SupportReport(sup, one)
-    ones = []
-    for i in range(len(bps)):
-        xa, va, xb, vb = f._segment(i)
-        da, db = (va - ONE).sign(), (vb - ONE).sign()
-        if da == 0 and db == 0:
-            ones.append((xa, xb, True, True))
-        elif da == 0:
-            ones.append((xa, xa, True, True))
-        elif db == 0:
-            pass  # recorded by the next segment's left endpoint
-        elif da != db:
-            t = (va - ONE) / (va - vb)
-            xc = xa + (xb - xa) * t
-            ones.append((xc, xc, True, True))
-    return SupportReport(sup, Region(system, ones))
 
 
 # -- lattice and linear operations
@@ -651,6 +615,9 @@ def min_cascade(system, gs):
     Only earlier functions whose supports meet supp(g_j) can change the
     minimum there, so the running sum is taken over support neighbours;
     the output functions are identical to the naive left-to-right cascade.
+    One sweep by left end finds the neighbours, across the seam too: a
+    closed support reaching 1 holds 0 in a piece starting at 0, and those
+    pieces come first and all meet.
     """
     gs = list(gs)
     n = len(gs)
@@ -667,13 +634,6 @@ def min_cascade(system, gs):
                 adj[owner].add(other)
                 adj[other].add(owner)
         heapq.heappush(active, (hi, owner))
-    ends = {o for lo, hi, o in pieces if (hi - ONE).sign() == 0}
-    zeros = {o for lo, hi, o in pieces if lo.sign() == 0}
-    for o1 in ends:
-        for o2 in zeros:
-            if o1 != o2:
-                adj[o1].add(o2)
-                adj[o2].add(o1)
     fs = []
     for j in range(n):
         nbrs = sorted(i for i in adj[j] if i < j)

@@ -22,7 +22,7 @@ integer differences.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -636,7 +636,6 @@ class CylinderRegion:
 # circle, which no lifted arc covers, is the sentinel _FULL_LEVEL.
 
 _FULL_LEVEL = ((ZERO, ONE),)
-_TWO = ExactScalar(2)
 
 
 def walk_levels(system, opened, n, lattice):
@@ -756,49 +755,6 @@ class ArcLocator:
                 return False
         pa, pb = lifted[g]
         return _sign_surd(pa - C, pb - E, D) >= 0
-
-
-def level_locator(system, S):
-    """A function telling where a walked level lies against S: True when
-    it lies in S, False when it misses S, None when it meets S and its
-    complement both.
-
-    On a circle the level comes with ExactScalar ends (`RokhlinTower.level`),
-    and the points are S's boundary points.  An arc holding one
-    strictly inside meets S and its complement.  A gap is connected and
-    misses the boundary, so it lies wholly in the interior of S or wholly
-    outside its closure; a flag per gap, from one point in it, says which.
-    """
-    _ambient(system, S)
-    if isinstance(system, Odometer):
-        def locate_cylinders(level):
-            if S.contains_region(level):
-                return True
-            return None if S.intersects(level) else False
-        return locate_cylinders
-    pts = list(S.boundary_points())
-    if not pts:
-        return lambda level: S.is_full
-    lifted = pts + [p + 1 for p in pts] + [_TWO]
-    inside = [S.contains_point((pts[-1] + pts[0] + 1) / 2)]
-    inside += [S.contains_point((a + b) / 2) for a, b in zip(pts, pts[1:])]
-    inside.append(inside[0])
-
-    def locate_arcs(level):
-        if level is _FULL_LEVEL:
-            return None
-        where = True
-        for k, (lo, hi) in enumerate(level):
-            g = bisect_right(pts, lo)  # the gap holding lo
-            if lifted[g] < hi:
-                return None
-            if k == 0:
-                where = inside[g]
-            elif inside[g] != where:
-                return None
-        return where
-
-    return locate_arcs
 
 
 # ---------------------------------------------------------------------------

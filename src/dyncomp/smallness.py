@@ -40,6 +40,8 @@ from .regions import (
 from .plfun import extrema_on, min_cascade, sum_of, support_of, trapezoid
 
 DEFAULT_DEPTH = 10**4
+SHIFT_WINDOW = 8  # verify_smallness scans the shifts 0 < |e| <= SHIFT_WINDOW
+FACE_WINDOW = 4  # _torus_boundary_cert re-checks the shifts |e| <= FACE_WINDOW
 
 
 # -- certificates
@@ -180,7 +182,7 @@ def _translate_points(system, points, d):
     return {system.apply(p, d) for p in points}
 
 
-def verify_smallness(system, F, cert, window: int = 8):
+def verify_smallness(system, F, cert):
     """Independent check: witness intersection non-empty, and no
     (constant+1)-family of translates meets within the shift window.
 
@@ -202,9 +204,9 @@ def verify_smallness(system, F, cert, window: int = 8):
         if len(cert.witness) > cert.constant:
             failures.append("witness larger than the constant")
     if isinstance(system, Odometer):
-        scan = range(1, min(system.resolution, 2 * window + 1))
+        scan = range(1, min(system.resolution, 2 * SHIFT_WINDOW + 1))
     else:
-        scan = [e for e in range(-window, window + 1) if e]
+        scan = [e for e in range(-SHIFT_WINDOW, SHIFT_WINDOW + 1) if e]
     hits = [e for e in scan if points & _translate_points(system, points, e)]
     for combo in combinations([0] + hits, cert.constant + 1):
         common = None
@@ -673,7 +675,7 @@ def _tsbp_torus(system, F, K):
     return extend(F), extend(K)
 
 
-def _torus_boundary_cert(system, U, window: int = 4):
+def _torus_boundary_cert(system, U):
     """Certificate for a box-union boundary on the torus.
 
     The boundary splits per axis into face cylinders grid_n x (other axes);
@@ -689,7 +691,7 @@ def _torus_boundary_cert(system, U, window: int = 4):
         per_axis.append(smallness_constant(factor, Region.points(factor, grid)))
     constant = union_smallness_bound(per_axis)
     faces = U.boundary_region()
-    moved = {e: faces.translate(e) for e in range(-window, window + 1)}
+    moved = {e: faces.translate(e) for e in range(-FACE_WINDOW, FACE_WINDOW + 1)}
     hits = [e for e in moved if e and faces.intersects(moved[e])]
     pool = [0] + hits
     for combo in combinations(pool, constant + 1):

@@ -29,8 +29,6 @@ def _orbit_shift(system, p, q) -> int | None:
 class CircleRotation:
     """Minimal rotation x -> x + theta (mod 1) by a quadratic irrational."""
 
-    kind = "rotation"
-
     def __init__(self, theta: ExactScalar):
         theta = ExactScalar.coerce(theta).frac()
         if theta.b == 0:
@@ -75,8 +73,6 @@ class TorusRotation:
     Distinct square-free D values make {1, theta_1, ..., theta_d} rationally
     independent, so the product rotation is minimal.
     """
-
-    kind = "torus"
 
     def __init__(self, thetas):
         thetas = tuple(ExactScalar.coerce(t).frac() for t in thetas)
@@ -128,8 +124,6 @@ class Odometer:
     cylinders cyclically (index -> index + 1 mod K_n), so all region algebra
     reduces to subsets of Z/K_n.
     """
-
-    kind = "odometer"
 
     def __init__(self, bases, truncation: int | None = None):
         bases = tuple(int(k) for k in bases)

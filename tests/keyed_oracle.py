@@ -9,7 +9,8 @@
   classes found so far with it, one pair at a time.
 - `copies_disjoint` builds the N + 1 translates of the closed arc of a
   diameter about 0 and sweeps them with `pairwise_disjoint`, the old
-  postcondition of `disjoint_base`.
+  postcondition of `disjoint_base`; `cylinder_copies_disjoint` does the
+  same for an odometer base.
 - `target_gaps` measures each target against every end of U's complement
   (`arc_point_gap`), and `least_gap` sorts the targets by comparison.
 
@@ -106,6 +107,13 @@ def orbit_classes(system, points):
 def copies_disjoint(system, N, diameter):
     half = diameter / 2
     copies = [Region(system, [(-half, half, True, True)])]
+    for _ in range(N):
+        copies.append(translate_region(system, copies[-1], 1))
+    return pairwise_disjoint(system, copies)
+
+
+def cylinder_copies_disjoint(system, Y, N):
+    copies = [Y]
     for _ in range(N):
         copies.append(translate_region(system, copies[-1], 1))
     return pairwise_disjoint(system, copies)

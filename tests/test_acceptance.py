@@ -23,7 +23,7 @@ from dyncomp.plfun import (
     global_extrema,
     integral,
     scale,
-    support_report,
+    support_of,
 )
 from dyncomp.regions import (
     BoxRegion,
@@ -177,7 +177,7 @@ def test_criterion_05_dynamic_comparison_and_mutations():
     supported = [
         i
         for i, (f, _) in enumerate(entries)
-        if not support_report(GOLDEN, f).support.is_empty
+        if not support_of(GOLDEN, f).is_empty
     ]
     assert touching and supported
     three_halves = R(3, 2)

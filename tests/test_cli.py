@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import random
@@ -91,6 +92,15 @@ def test_parse_specfile_params_and_odometer():
     odo = parse_specfile(ODO_SPEC)
     assert odo.system == Odometer([2, 3])
     assert odo.region("A") == CylinderRegion(Odometer([2, 3]), [0, 4])
+    truncated = parse_specfile("system odometer\nbases 2 3 2\ntruncation 2\nend\n")
+    assert truncated.system == Odometer([2, 3, 2], truncation=2)
+
+
+def test_cli_params_flags_beat_the_spec():
+    spec = parse_specfile(SMALL_SPEC + "\nparams\nepsilon 1/100\nsigma-fraction 1/4\nend\n")
+    flags = argparse.Namespace(sigma_fraction="1/3", depth=None, epsilon="1/50")
+    assert cli._params(spec, flags) == (R(1, 3), None, R(1, 50))
+    assert cli._params(spec, argparse.Namespace()) == (R(1, 4), None, R(1, 100))
 
 
 def test_parse_specfile_scalar_forms():
@@ -337,6 +347,25 @@ def test_cli_compare_verify_and_tamper(tmp_path, capsys):
     (tmp_path / "bad2.cert").write_text(bad)
     assert cli.run(["verify", "--spec", spec, "--cert", str(tmp_path / "bad2.cert")]) == 3
     capsys.readouterr()
+
+
+def test_cli_verify_refuses_another_system_and_a_single_input(tmp_path, capsys):
+    spec = write(tmp_path, "o.spec", ODO_SPEC)
+    cert = tmp_path / "o.cert"
+    assert cli.run(["clopen-compare", "--spec", spec, "--out", str(cert)]) == 0
+    capsys.readouterr()
+    text = cert.read_text()
+    # bases 2 3 2 truncated at 2 have the spec's six cylinders, so only the
+    # echo differs
+    other = tmp_path / "other.cert"
+    other.write_text(text.replace("system odometer 2 2 3\n", "system odometer 2 2 3 2\n"))
+    assert cli.run(["verify", "--spec", spec, "--cert", str(other)]) == 3
+    assert capsys.readouterr().out == "mismatch system echo differs from the spec file\n"
+    single = tmp_path / "single.cert"
+    single.write_text("".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("input B ")))
+    assert cli.run(["verify", "--spec", spec, "--cert", str(single)]) == 1
+    assert capsys.readouterr().err == "error: certificate must record exactly two inputs\n"
 
 
 def test_cli_compare_deterministic(tmp_path, capsys):

@@ -87,15 +87,23 @@ def test_birkhoff_certificate_structure():
     cert = cp.birkhoff_certificate(GOLDEN, F, E)
     assert cert.g == difference(cert.g1, cert.g0)
     # g0 is exactly 1 on F and vanishes on closure(E)
-    from dyncomp.plfun import extrema_on, support_report
+    from dyncomp.plfun import extrema_on, support_of
 
     assert extrema_on(cert.g0, F) == (ONE, ONE)
-    sup0 = support_report(GOLDEN, cert.g0).support
+    sup0 = support_of(GOLDEN, cert.g0)
     assert not sup0.intersects(E.closure())
-    sup1 = support_report(GOLDEN, cert.g1).support
+    sup1 = support_of(GOLDEN, cert.g1)
     assert E.contains_region(sup1)
     assert (cert.m0 - cert.sigma).sign() > 0
     assert cp.verify_certificate(GOLDEN, cert, Ns=(cert.N0, cert.N1)) == []
+    # g0 out of [0, 1], g replaced and m0 nudged each name their clause
+    for change, failure in (
+        ({"g0": scale(cert.g0, 2)}, "g0 leaves [0, 1]"),
+        ({"g": cert.g1}, "g is not g1 - g0"),
+        ({"m0": cert.m0 + R(1, 10**6)}, "recorded m0 is not the exact minimum at N0"),
+    ):
+        broken = dataclasses.replace(cert, **change)
+        assert failure in cp.verify_certificate(GOLDEN, broken, Ns=(cert.N0,))
 
 
 def test_birkhoff_certificate_float_oracle():
@@ -273,6 +281,25 @@ def test_simplify_inputs_errors():
     U2 = Region(GOLDEN, [(R(9, 10), R(3, 2), False, False)])
     with pytest.raises(GapNonpositive):
         cp.simplify_inputs(GOLDEN, C2, U2)
+
+
+def test_a_failed_witness_check_is_not_retried(monkeypatch):
+    # a witness that fails its check is a construction bug, which a taller
+    # tower would only hide: one attempt, then RuntimeError
+    bases = []
+    attempt = cp._attempt
+
+    def moved(*args):
+        bases.append(args[6])
+        w = attempt(*args)
+        (f, d), *rest = w.entries
+        return dataclasses.replace(w, entries=((f, d + 1), *rest))
+
+    monkeypatch.setattr(cp, "_attempt", moved)
+    C, U = closed_arc(GOLDEN, ZERO, R(1, 5)), open_arc(GOLDEN, R(3, 10), R(3, 5))
+    with pytest.raises(RuntimeError, match="^comparison witness postcondition failed: "):
+        cp.dynamic_comparison(GOLDEN, C, U)
+    assert len(bases) == 1
 
 
 def test_column_counts_classifies_every_level():
@@ -469,9 +496,9 @@ def test_dynamic_comparison_mutations_rejected():
     bad = dataclasses.replace(w, entries=w.entries[1:])
     assert not cp.verify_witness(GOLDEN, C, U, bad).ok
     # copying the shift of an overlapping entry collides the translates
-    from dyncomp.plfun import support_report
+    from dyncomp.plfun import support_of
 
-    sups = [support_report(GOLDEN, f).support for f, _ in w.entries]
+    sups = [support_of(GOLDEN, f) for f, _ in w.entries]
     pair = None
     for i in range(len(sups)):
         for j in range(i + 1, len(sups)):

@@ -25,9 +25,9 @@ from dyncomp.plfun import (
     minimum,
     scale,
     support_of,
-    support_report,
     sum_of,
     translate_fn,
+    trapezoid,
 )
 from dyncomp.regions import CylinderRegion, Region, translate_region
 from dyncomp.scalars import ONE, ZERO, ExactScalar, golden_theta
@@ -143,20 +143,15 @@ def test_support_commutes_with_translate():
     rng = random.Random(3)
     for _ in range(10):
         f = rand_bump(rng, GOLDEN, arcs=2)
-        lhs = support_report(GOLDEN, translate_fn(GOLDEN, f, 7)).support
-        rhs = translate_region(GOLDEN, support_report(GOLDEN, f).support, 7)
+        lhs = support_of(GOLDEN, translate_fn(GOLDEN, f, 7))
+        rhs = translate_region(GOLDEN, support_of(GOLDEN, f), 7)
         assert lhs == rhs
 
 
-def test_support_and_one_set():
+def test_support_of_a_bump():
     f = bump(closed(GOLDEN, R(1, 4), R(1, 2)), open_arc(GOLDEN, R(1, 8), R(5, 8)))
-    rep = support_report(GOLDEN, f)
-    assert rep.support == closed(GOLDEN, R(3, 16), R(9, 16))
-    assert rep.one_set == closed(GOLDEN, R(1, 4), R(1, 2))
-    assert support_of(GOLDEN, f) == rep.support
-    zero = PLFunction.constant(R(0))
-    rep0 = support_report(GOLDEN, zero)
-    assert rep0.support.is_empty and rep0.one_set.is_empty
+    assert support_of(GOLDEN, f) == closed(GOLDEN, R(3, 16), R(9, 16))
+    assert support_of(GOLDEN, PLFunction.constant(R(0))).is_empty
 
 
 def test_birkhoff_cocycle():
@@ -242,11 +237,23 @@ def test_integral():
         assert integral(GOLDEN, translate_fn(GOLDEN, f, 5)) == integral(GOLDEN, f)
 
 
+def seam_function(rng):
+    """A bump whose closed support starts exactly at 0 or ends exactly at 1,
+    or a trapezoid about a point within 3/64 of 0."""
+    kind, k = rng.randrange(3), rng.randrange(2, 40)
+    if kind == 0:  # support [0, k/64]
+        return PLFunction([(R(0), R(0)), (R(k, 128), R(1)), (R(k, 64), R(0))])
+    if kind == 1:  # support [1 - k/64, 1]
+        return PLFunction([(R(0), R(0)), (R(64 - k, 64), R(0)), (R(128 - k, 128), R(1))])
+    return trapezoid(R(rng.randrange(-192, 193), 4096).frac(), R(k, 160))
+
+
 def test_min_cascade_matches_naive():
     rng = random.Random(23)
     one = PLFunction.constant(R(1))
-    for _ in range(5):
-        gs = [rand_bump(rng, GOLDEN, q=128) for _ in range(6)]
+    inputs = [[rand_bump(rng, GOLDEN, q=128) for _ in range(6)] for _ in range(5)]
+    inputs += [[seam_function(rng) for _ in range(6)] for _ in range(30)]
+    for gs in inputs:
         fast = min_cascade(GOLDEN, gs)
         assert min_cascade(GOLDEN, fast) == fast
         running = PLFunction.constant(R(0))
@@ -273,10 +280,7 @@ def test_cylinder_functions():
     moved = ind.translate(1)
     assert moved.values == (R(0), R(1), R(0), R(0), R(0), R(1))
     assert moved.evaluate(5) == R(1)
-    rep = support_report(odo, moved)
-    assert sorted(rep.support.indices) == [1, 5]
-    assert rep.support == rep.one_set
-    assert support_of(odo, moved) == rep.support
+    assert sorted(support_of(odo, moved).indices) == [1, 5]
     assert integral(odo, ind) == R(1, 3)
     assert moved.range_bounds() == (R(0), R(1))
 

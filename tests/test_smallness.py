@@ -16,7 +16,7 @@ from dyncomp.errors import (
 )
 from dyncomp.scalars import ExactScalar, golden_theta, ONE, ZERO
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
-from dyncomp.plfun import PLFunction, bump, trapezoid
+from dyncomp.plfun import PLFunction, bump, scale, trapezoid
 from dyncomp.regions import BoxRegion, CylinderRegion, Region, translate_region, union_many
 from dyncomp import comparison as cp, smallness as sm
 
@@ -89,6 +89,21 @@ def test_smallness_matches_class_structure():
         assert cert.verdict == "proven"
         assert len(cert.witness) == cert.constant
         assert sm.verify_smallness(GOLDEN, F, cert) == []
+
+
+def test_verify_smallness_names_each_broken_claim():
+    F = Region.points(GOLDEN, [ZERO, TH])
+    cert = sm.smallness_constant(GOLDEN, F)
+    assert (cert.constant, cert.witness) == (2, (-1, 0))
+
+    def failures(**change):
+        return sm.verify_smallness(GOLDEN, F, dataclasses.replace(cert, **change))
+
+    assert failures() == []
+    assert failures(witness=(0, 5)) == ["witness translates have empty intersection"]
+    assert failures(witness=(-1, -1)) == ["witness shifts repeat"]
+    assert "witness larger than the constant" in failures(witness=(-1, 0, 1))
+    assert failures(constant=1, witness=(-1,)) == ["translates (0, -1) share a point"]
 
 
 def test_smallness_torus_points():
@@ -707,6 +722,15 @@ def failures_or_error(verify, *args):
         return verify(*args)
     except Exception as exc:  # the oracle's exception is the expected outcome
         return type(exc), str(exc)
+
+
+def test_verify_leftover_cover_names_a_range_outside_the_unit_interval():
+    F, U, eps, cover = leftover_base(0)
+    doubled = dataclasses.replace(
+        cover, functions=(scale(cover.functions[0], 2),) + cover.functions[1:])
+    failures = sm.verify_leftover_cover(GOLDEN, F, U, eps, doubled)
+    assert "clause 4: function range leaves [0, 1]" in failures
+    assert failures == leftover_oracle.verify_leftover_cover(GOLDEN, F, U, eps, doubled)
 
 
 @settings(max_examples=250, deadline=None)

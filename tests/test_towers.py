@@ -15,7 +15,7 @@ from dyncomp.errors import (
     UnrefinedTower,
 )
 from dyncomp.plfun import CylinderFunction
-from dyncomp.regions import ArcLocator, CylinderRegion, Region, level_locator, levels_tile
+from dyncomp.regions import ArcLocator, CylinderRegion, Region, levels_tile
 from dyncomp.scalars import ONE, ZERO, ExactScalar, Lattice, golden_theta
 from dyncomp.systems import CircleRotation, Odometer, TorusRotation
 from dyncomp.towers import (
@@ -25,7 +25,8 @@ from dyncomp.towers import (
     first_return,
     refine_tower,
 )
-from walk_oracle import materialized, oracle_gaps, oracle_walks, walk_levels
+import keyed_oracle
+from walk_oracle import level_locator, materialized, oracle_gaps, oracle_walks, walk_levels
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -167,6 +168,15 @@ def test_disjoint_base_odometer():
     assert Y == CylinderRegion(odo, [0, 6])
     with pytest.raises(NonTerminationGuard):
         disjoint_base(odo, 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=4), st.data())
+def test_odometer_base_translates_pass_the_copy_sweep(bases, data):
+    odo = Odometer(bases)
+    N = data.draw(st.integers(1, odo.resolution - 1))
+    Y = disjoint_base(odo, N)
+    assert keyed_oracle.cylinder_copies_disjoint(odo, Y, N)
 
 
 def test_refine_by_halves():

@@ -5,15 +5,16 @@ the library once did: on a circle each level is a tuple of lifted open arcs
 (lo, hi) of ExactScalars, one per logical arc, and the next level adds theta
 to each lo and wraps it with one compare; the whole circle is
 `_FULL_LEVEL`.  `ArcLocator` places such arcs against sorted points by
-`bisect_right` and exact comparisons.  The library walks, refines and tiles
-on an integer lattice; `materialized(tower)` reads its levels back as
+`bisect_right` and exact comparisons, and `level_locator` places such
+levels against a region.  The library walks, refines, tiles and counts on
+an integer lattice; `materialized(tower)` reads its levels back as
 scalars (`RokhlinTower.level`), which must equal `oracle_walks(tower)`, and
 its level gaps must equal `oracle_gaps(tower)`.
 """
 
 from bisect import bisect_right
 
-from dyncomp.regions import _FULL_LEVEL
+from dyncomp.regions import _FULL_LEVEL, _ambient
 from dyncomp.scalars import ExactScalar
 from dyncomp.systems import Odometer
 
@@ -102,3 +103,45 @@ def oracle_gaps(tower):
     for a level holding a cut point."""
     locator = ArcLocator(tower.cuts.points)
     return tuple(tuple(locator.gap(*level[0]) for level in walk) for walk in oracle_walks(tower))
+
+
+def level_locator(system, S):
+    """A function telling where a level of the scalar walk lies against S:
+    True when it lies in S, False when it misses S, None when it meets S
+    and its complement both.
+
+    On a circle the points are S's boundary points.  An arc holding one
+    strictly inside meets S and its complement.  A gap is connected and
+    misses the boundary, so it lies wholly in the interior of S or wholly
+    outside its closure; a flag per gap, from one point in it, says which.
+    """
+    _ambient(system, S)
+    if isinstance(system, Odometer):
+        def locate_cylinders(level):
+            if S.contains_region(level):
+                return True
+            return None if S.intersects(level) else False
+        return locate_cylinders
+    pts = list(S.boundary_points())
+    if not pts:
+        return lambda level: S.is_full
+    lifted = pts + [p + 1 for p in pts] + [_TWO]
+    inside = [S.contains_point((pts[-1] + pts[0] + 1) / 2)]
+    inside += [S.contains_point((a + b) / 2) for a, b in zip(pts, pts[1:])]
+    inside.append(inside[0])
+
+    def locate_arcs(level):
+        if level is _FULL_LEVEL:
+            return None
+        where = True
+        for k, (lo, hi) in enumerate(level):
+            g = bisect_right(pts, lo)  # the gap holding lo
+            if lifted[g] < hi:
+                return None
+            if k == 0:
+                where = inside[g]
+            elif inside[g] != where:
+                return None
+        return where
+
+    return locate_arcs
