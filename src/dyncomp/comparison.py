@@ -51,7 +51,7 @@ from .regions import (
     CylinderRegion,
     Region,
     _ambient,
-    _cut_last,
+    _rotated,
     disjoint_inside,
     measure_gap,
     outer_approx,
@@ -360,12 +360,15 @@ def column_matching(source_counts, target_counts):
 def _source_levels(tower, tables):
     """For each table pair in order, the lifted open source level (lo, hi)
     and its shift.  A refined circle cell is one arc, so each walked level
-    is one lifted arc, built as ExactScalars for the matched levels only."""
+    is one lifted arc, read off the walk as ExactScalars for the matched
+    levels only."""
+    scalar = tower.lattice.scalar
     out = []
     for table in tables:
+        walk = tower.walks[table.column]
         for s, _, d in table.pairs:
-            (arc,) = tower.level(table.column, s)
-            out.append((arc, d))
+            ((A, B, C, E),) = walk[s]
+            out.append(((scalar(A, B), scalar(C, E)), d))
     return out
 
 
@@ -544,10 +547,6 @@ def clopen_comparison(system, A, B):
 # -- independent verification
 
 
-def _with_report(witness, report):
-    return replace(witness, provenance=replace(witness.provenance, report=report))
-
-
 def _verified(system, C, U, witness, what):
     """The construction's one check: raise if a clause fails, else hand the
     report back with the witness."""
@@ -556,18 +555,17 @@ def _verified(system, C, U, witness, what):
         raise RuntimeError(
             "%s postcondition failed: %s" % (what, "; ".join(report.failures))
         )
-    return _with_report(witness, report)
+    return replace(witness, provenance=replace(witness.provenance, report=report))
 
 
-def _translated_supports(system, entries, U):
-    """(pairwise disjoint, all inside U) for the supports of the entries'
-    PL functions translated by their shifts, with no region built.
+def _translated_pieces(system, entries):
+    """The canonical pieces of the supports of the entries' PL functions
+    translated by their shifts, with no region built.
 
-    Each support's arcs come from its breakpoint signs (`support_arcs`)
-    and move by frac(d theta), worked out once per distinct shift d; a
-    moved arc starts below 2, so one sign test wraps it, and one more
-    cuts it at the seam.  The pieces of one support stay pairwise
-    disjoint, so one keyed sweep with U's pieces decides both clauses.
+    Each support's arcs come from its breakpoint signs (`support_arcs`),
+    in the shape of a region's logical arcs, and are rotated by
+    frac(d theta), worked out once per distinct shift d, as
+    `Region.translate` rotates a region (`_rotated`).
     """
     shifts = {}
     soup = []
@@ -579,19 +577,17 @@ def _translated_supports(system, entries, U):
         s = shifts.get(d)
         if s is None:
             s = shifts[d] = (system.theta * d).frac()
-        for lo, hi in arcs:
-            lo, hi = lo + s, hi + s
-            if lo.cmp_int(1) >= 0:
-                lo, hi = lo - 1, hi - 1
-            soup += _cut_last([(lo, hi, True, True)])
-    return soup_disjoint_inside(system, soup, U)
+        soup += _rotated(arcs, s)
+    return soup
 
 
 def verify_witness(system, C, U, witness) -> VerificationReport:
     """Re-check the four witness clauses exactly; failures become report
     entries, never exceptions.  On a circle the ranges are sign tests on
-    breakpoint values and the supports go through `_translated_supports`;
-    regions are built only to name the entries that leave U."""
+    breakpoint values, and the translated supports (`_translated_pieces`),
+    whose pieces for one support are pairwise disjoint, go through one
+    keyed sweep with U's pieces (`soup_disjoint_inside`); regions are
+    built only to name the entries that leave U."""
     circle = isinstance(system, CircleRotation)
     if not circle and not isinstance(system, Odometer):
         raise MixedAmbient("witness verification runs over circle rotations and odometers")
@@ -617,7 +613,7 @@ def verify_witness(system, C, U, witness) -> VerificationReport:
             part_ok = False
             failures.append("sum over the closed set spans [%s, %s]" % (mn, mx))
     if circle:
-        disj_ok, inside_ok = _translated_supports(system, entries, U)
+        disj_ok, inside_ok = soup_disjoint_inside(system, _translated_pieces(system, entries), U)
     else:
         translated = [translate_region(system, support_of(system, f), d) for f, d in entries]
         disj_ok, inside_ok = disjoint_inside(system, translated, U)

@@ -14,6 +14,7 @@ import bisect
 import heapq
 import math
 from itertools import repeat
+from operator import itemgetter
 
 from .errors import (
     BreakpointBudget,
@@ -148,8 +149,8 @@ def _slope(xa, va, xb, vb, D):
 
 def support_arcs(f):
     """The closure of {f != 0} for a PL function f as closed lifted arcs
-    (lo, hi), lo in [0, 1) and in order, read from the signs of its
-    breakpoint values; None when it is the whole circle.
+    (lo, hi, True, True), lo in [0, 1) and in order, read from the signs
+    of its breakpoint values; None when it is the whole circle.
 
     f is linear on each segment, so it vanishes at no more than one point
     of a segment with a nonzero end: the closure holds the whole segment.
@@ -170,11 +171,11 @@ def support_arcs(f):
         if h and lo is None:
             lo = x
         elif not h and lo is not None:
-            arcs.append((lo, x))
+            arcs.append((lo, x, True, True))
             lo = None
     if lo is not None:  # the last run passes 1
         hi = arcs.pop(0)[1] if held[0] else bps[0][0]
-        arcs.append((lo, hi + 1))
+        arcs.append((lo, hi + 1, True, True))
     return arcs
 
 
@@ -186,7 +187,7 @@ def support_of(system, f):
     arcs = support_arcs(f)
     if arcs is None:
         return Region.full(system)
-    return Region._make(system, _cut_last([(lo, hi, True, True) for lo, hi in arcs]))
+    return Region._make(system, _cut_last(arcs))
 
 
 # -- lattice and linear operations
@@ -366,14 +367,21 @@ def check_bp_budget(g, N: int, cap: int) -> None:
         )
 
 
-def birkhoff_sum(system, g, N: int, bp_cap=DEFAULT_BP_CAP) -> PLFunction:
-    """Unnormalized sum S_N g = sum_{j<N} g o h^j, by cocycle doubling;
-    BreakpointBudget if S_N may need more than bp_cap breakpoints."""
+def _birkhoff_window(system, N) -> int:
+    """The window length N as an int, once system is a circle rotation and
+    N >= 1."""
     if not isinstance(system, CircleRotation):
         raise MixedAmbient("Birkhoff sums are built over circle rotations")
     N = int(N)
     if N < 1:
         raise ValueError("Birkhoff sum needs N >= 1")
+    return N
+
+
+def birkhoff_sum(system, g, N: int, bp_cap=DEFAULT_BP_CAP) -> PLFunction:
+    """Unnormalized sum S_N g = sum_{j<N} g o h^j, by cocycle doubling;
+    BreakpointBudget if S_N may need more than bp_cap breakpoints."""
+    N = _birkhoff_window(system, N)
     check_bp_budget(g, N, bp_cap)
     S = g
     cur = 1
@@ -404,11 +412,7 @@ def birkhoff_min(system, g, N: int) -> ExactScalar:
     integer coefficients over one denominator M, so every term and window
     sum is an integer pair over M; the one scalar built is the least.
     """
-    if not isinstance(system, CircleRotation):
-        raise MixedAmbient("Birkhoff sums are built over circle rotations")
-    N = int(N)
-    if N < 1:
-        raise ValueError("Birkhoff sum needs N >= 1")
+    N = _birkhoff_window(system, N)
     bps = g.breakpoints
     if len(bps) == 1:
         return bps[0][1] * N
@@ -467,16 +471,10 @@ def birkhoff_min(system, g, N: int) -> ExactScalar:
 
 
 def global_extrema(f):
-    """(min, max, argmin); PL extrema sit at breakpoints."""
-    bps = f.breakpoints
-    mn = mx = bps[0][1]
-    argmin = bps[0][0]
-    for x, v in bps[1:]:
-        if v < mn:
-            mn, argmin = v, x
-        if mx < v:
-            mx = v
-    return mn, mx, argmin
+    """(min, max, argmin); PL extrema sit at breakpoints, and argmin is the
+    first abscissa where the minimum is attained."""
+    argmin, mn = min(f.breakpoints, key=itemgetter(1))
+    return mn, max(v for _, v in f.breakpoints), argmin
 
 
 def global_min(f):
@@ -497,13 +495,7 @@ def extrema_on(f, region):
     for x, v in f.breakpoints:
         if cl.contains_point(x):
             cands.append(v)
-    mn = mx = cands[0]
-    for v in cands[1:]:
-        if v < mn:
-            mn = v
-        if mx < v:
-            mx = v
-    return mn, mx
+    return min(cands), max(cands)
 
 
 def sum_extrema_on(fns, region):
@@ -516,12 +508,7 @@ def sum_extrema_on(fns, region):
         return extrema_on(sum_of(fns), region)
     if region.is_empty:
         raise EmptyInput("extrema over an empty region")
-    totals = []
-    for i in region.indices:
-        total = ZERO
-        for f in fns:
-            total = total + f.values[i]
-        totals.append(total)
+    totals = [sum((f.values[i] for f in fns), ZERO) for i in region.indices]
     return min(totals), max(totals)
 
 
@@ -529,18 +516,12 @@ def integral(system, f) -> ExactScalar:
     """Exact Lebesgue integral: sum of trapezoid areas (cylinder average
     for odometer functions)."""
     if isinstance(f, CylinderFunction):
-        tot = ZERO
-        for v in f.values:
-            tot = tot + v
-        return tot / ExactScalar.rational(len(f.values))
+        return sum(f.values, ZERO) / ExactScalar.rational(len(f.values))
     bps = f.breakpoints
     if len(bps) == 1:
         return bps[0][1]
-    total = ZERO
-    for i in range(len(bps)):
-        xa, va, xb, vb = f._segment(i)
-        total = total + (va + vb) * (xb - xa) / 2
-    return total
+    return sum(((va + vb) * (xb - xa) / 2
+                for xa, va, xb, vb in map(f._segment, range(len(bps)))), ZERO)
 
 
 # -- bumps and the min-cascade
@@ -690,10 +671,4 @@ class CylinderFunction:
         return CylinderFunction([self.values[(i - n) % K] for i in range(K)])
 
     def range_bounds(self):
-        mn = mx = self.values[0]
-        for v in self.values[1:]:
-            if v < mn:
-                mn = v
-            if mx < v:
-                mx = v
-        return mn, mx
+        return min(self.values), max(self.values)

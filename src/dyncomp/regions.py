@@ -56,7 +56,8 @@ def _check_same_system(a, b):
 def _split_lifted(lo, hi, lc, hc):
     """Split a lifted arc (hi - lo in [0,1]) into a list of canonical-range
     pieces.  A whole-circle arc is the piece (0, 1, closed, open), which the
-    sweep treats like any other.
+    sweep treats like any other; an arc that passes 1 is cut at the seam
+    by `_cut_last`.
     """
     ln = hi - lo
     s = ln.sign()
@@ -76,16 +77,7 @@ def _split_lifted(lo, hi, lc, hc):
             return [(ZERO, ONE, False, False)]
         return [(ZERO, x, True, False), (x, ONE, False, False)]
     lo = lo.frac()
-    hi = lo + ln
-    t = (hi - 1).sign()
-    if t < 0:
-        return [(lo, hi, lc, hc)]
-    if t == 0:
-        out = [(lo, ONE, lc, False)]
-        if hc:
-            out.append((ZERO, ZERO, True, True))
-        return out
-    return [(lo, ONE, lc, False), (ZERO, hi - 1, True, hc)]
+    return list(_cut_last([(lo, lo + ln, lc, hc)]))
 
 
 def _cut_last(arcs):
@@ -100,6 +92,24 @@ def _cut_last(arcs):
         return tuple(arcs)
     front = [(ZERO, hi - 1, True, hc)] if t > 0 else [(ZERO, ZERO, True, True)] if hc else []
     return tuple(front + arcs[:-1] + [(lo, ONE, lc, False)])
+
+
+def _rotated(arcs, shift):
+    """Canonical pieces of separated lifted arcs in order, lo in [0, 1), of
+    which only the last may pass 1, rotated by shift in [0, 1).
+
+    The arcs keep their cyclic order: those moved to 1 or past it, one
+    sign test each, go back by 1 to the front, and only the last one can
+    reach the new seam, where it is cut.
+    """
+    front, rest = [], []
+    for lo, hi, lc, hc in arcs:
+        lo, hi = lo + shift, hi + shift
+        if lo.cmp_int(1) >= 0:
+            front.append((lo - 1, hi - 1, lc, hc))
+        else:
+            rest.append((lo, hi, lc, hc))
+    return _cut_last(front + rest)
 
 
 def _critical_points(split_lists, zero=ZERO, one=ONE):
@@ -281,10 +291,7 @@ class Region:
         return f"Region({' u '.join(bits) if bits else 'empty'})"
 
     def measure(self) -> ExactScalar:
-        total = ZERO
-        for lo, hi, _, _ in self.pieces:
-            total = total + (hi - lo)
-        return total
+        return sum((hi - lo for lo, hi, _, _ in self.pieces), ZERO)
 
     def contains_point(self, x) -> bool:
         x = ExactScalar.coerce(x)
@@ -382,21 +389,12 @@ class Region:
     # -- geometry
 
     def translate(self, n: int) -> "Region":
-        """The image under the n-th iterate, by rotating the canonical pieces.
-
-        The logical arcs (the pieces with the old seam joined) keep their
-        cyclic order: those that pass 1 move to the front, and only the
-        last one can reach the new seam, where it is cut.  No sweep.
-        """
+        """The image under the n-th iterate: the logical arcs (the pieces
+        with the old seam joined) rotated by `_rotated`.  No sweep."""
         if n == 0 or self.is_empty or self.is_full:
             return self
         shift = (n * self.system.theta).frac()
-        arcs = self.logical_arcs()
-        k = bisect_left(arcs, ONE - shift, key=itemgetter(0))
-        back = shift - 1
-        out = [(lo + back, hi + back, lc, hc) for lo, hi, lc, hc in arcs[k:]]
-        out += [(lo + shift, hi + shift, lc, hc) for lo, hi, lc, hc in arcs[:k]]
-        return Region._make(self.system, _cut_last(out))
+        return Region._make(self.system, _rotated(self.logical_arcs(), shift))
 
     def logical_arcs(self):
         """Pieces with the wrap seam re-joined, in lifted coordinates.
@@ -505,13 +503,7 @@ def arc_point_gap(x: ExactScalar, region: Region) -> ExactScalar:
         raise EmptyInput("distance to the empty region")
     if region.contains_point(x):
         return ZERO
-    best = None
-    for lo, hi, _, _ in region.pieces:
-        for e in (lo, hi):
-            d = circle_norm(x - e)
-            if best is None or d < best:
-                best = d
-    return best
+    return min(circle_norm(x - e) for lo, hi, _, _ in region.pieces for e in (lo, hi))
 
 
 def region_gap(a: Region, b: Region) -> ExactScalar:
@@ -521,13 +513,8 @@ def region_gap(a: Region, b: Region) -> ExactScalar:
         raise EmptyInput("distance to the empty region")
     if a.intersects(b):
         return ZERO
-    best = None
-    for lo1, hi1, _, _ in a.pieces:
-        for lo2, hi2, _, _ in b.pieces:
-            for d in (circle_norm(lo2 - hi1), circle_norm(lo1 - hi2)):
-                if best is None or d < best:
-                    best = d
-    return best
+    return min(d for lo1, hi1, _, _ in a.pieces for lo2, hi2, _, _ in b.pieces
+               for d in (circle_norm(lo2 - hi1), circle_norm(lo1 - hi2)))
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +619,8 @@ class CylinderRegion:
 # arc is the integer tuple (A, B, C, E) with lo = (A + B sqrt(D))/L and
 # hi = (C + E sqrt(D))/L.  The next level adds theta's pair to each lo and
 # wraps it by L after one sign test, so neither a region nor a scalar is
-# built.  Read back with ExactScalar ends (`RokhlinTower.level`), the whole
-# circle, which no lifted arc covers, is the sentinel _FULL_LEVEL.
-
-_FULL_LEVEL = ((ZERO, ONE),)
+# built; a caller that needs a level's ends as ExactScalars reads them off
+# the walk through `Lattice.scalar`.
 
 
 def walk_levels(system, opened, n, lattice):
@@ -910,14 +895,12 @@ def _union_volume(boxes):
 
 
 def measure(system, region) -> ExactScalar:
-    if region.system != system:
-        raise MixedAmbient("region belongs to a different system")
+    _ambient(system, region)
     return region.measure()
 
 
 def translate_region(system, region, n: int):
-    if region.system != system:
-        raise MixedAmbient("region belongs to a different system")
+    _ambient(system, region)
     return region.translate(n)
 
 

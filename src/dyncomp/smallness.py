@@ -421,12 +421,7 @@ def _target_gaps(targets, U):
     pts = [targets[i] for i in sorted(range(len(targets)), key=tkeys.__getitem__)]
     if len(pts) < 2:
         return gaps, None
-    pair = pts[0] + ONE - pts[-1]
-    for a, b in zip(pts, pts[1:]):
-        g = b - a
-        if g < pair:
-            pair = g
-    return gaps, pair
+    return gaps, min([pts[0] + ONE - pts[-1]] + [b - a for a, b in zip(pts, pts[1:])])
 
 
 def _plan(system, F, U, search_depth, kind, eps=None):
@@ -601,9 +596,7 @@ def verify_leftover_cover(system, F, U, eps, cover):
     if opens:
         if not disjoint:
             failures.append("clause 5: W pieces overlap")
-        mass = ZERO
-        for W in opens:
-            mass = mass + W.measure()
+        mass = sum((W.measure() for W in opens), ZERO)
         if not mass < ExactScalar.coerce(eps):
             failures.append("clause 5: W mass reaches epsilon")
     return failures
@@ -655,11 +648,7 @@ def _tsbp_torus(system, F, K):
     margins = []
     for bf in F.boxes:
         for bk in K.boxes:
-            best = ZERO
-            for ra, rb in zip(bf, bk):
-                g = region_gap(ra, rb)
-                if best < g:
-                    best = g
+            best = max(region_gap(ra, rb) for ra, rb in zip(bf, bk))
             if best.sign() == 0:
                 raise NotDisjoint("box pair cannot be separated on any axis")
             margins.append(best / 4)
@@ -785,10 +774,7 @@ def regular_outer_approx(system, F, U, eps):
     else:
         pieces = ExactScalar.rational(len(FC.logical_arcs()))
         g = ONE if U.is_full else region_gap(FC, U.complement())
-        m = eps / pieces
-        if g < m:
-            m = g
-        V = _widened(system, FC, m / 4)
+        V = _widened(system, FC, min(eps / pieces, g) / 4)
     added = V.minus(FC).measure()
     if not added < eps:
         raise RuntimeError("outer approximation misses its mass bound")

@@ -9,11 +9,12 @@ On a circle a tower is walked, refined and tiled on one integer lattice
 (`scalars.Lattice`): its levels' ends are integer pairs over the lcm of
 theta's denominator and its cells' (extended by the cut points' on
 refinement), and ExactScalars are built only for the refined cells' ends
-and for the levels a caller reads through `RokhlinTower.level`.
+and for the levels a caller reads off the walk through `Lattice.scalar`.
 """
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from operator import methodcaller
 
 from .errors import (
     EmptyInput,
@@ -24,7 +25,6 @@ from .errors import (
 from .scalars import ExactScalar, Lattice, ONE, ZERO, _sign_surd, dyadic_keys
 from .systems import CircleRotation, Odometer, min_orbit_gap, three_gap
 from .regions import (
-    _FULL_LEVEL,
     ArcLocator,
     CylinderRegion,
     Region,
@@ -126,32 +126,20 @@ class RokhlinTower:
                 () if o.is_empty else tuple(walk_levels(self.system, o, n, self.lattice))
                 for o, n in opened))
 
-    def level(self, k, j):
-        """Level j of column k; on a circle its arcs (lo, hi) as
-        ExactScalars, or _FULL_LEVEL for the whole circle."""
-        level = self.walks[k][j]
-        if self.lattice is None:
-            return level
-        if self.columns[k][0].is_full:
-            return _FULL_LEVEL
-        scalar = self.lattice.scalar
-        return tuple((scalar(A, B), scalar(C, E)) for A, B, C, E in level)
-
     def heights(self):
         return tuple(n for _, n in self.columns)
 
     def open_levels(self):
         """Yield (column index, level index, open level region)."""
-        for k, (cell, n) in enumerate(self.columns):
-            level = cell.interior()
-            for j in range(n):
-                if j:
-                    level = translate_region(self.system, level, 1)
-                yield k, j, level
+        return self._levels(methodcaller("interior"))
 
     def closed_levels(self):
+        return self._levels(methodcaller("closure"))
+
+    def _levels(self, part):
+        """Yield (column index, level index, the level of part(cell))."""
         for k, (cell, n) in enumerate(self.columns):
-            level = cell.closure()
+            level = part(cell)
             for j in range(n):
                 if j:
                     level = translate_region(self.system, level, 1)
@@ -192,9 +180,7 @@ def _walk_lattice(system, opened):
 
 def _check_kac(tower):
     """Kac identity sum n_k * mu(Y_k) = 1, exactly."""
-    kac = ZERO
-    for cell, n in tower.columns:
-        kac = kac + cell.measure() * ExactScalar.rational(n)
+    kac = sum((cell.measure() * ExactScalar.rational(n) for cell, n in tower.columns), ZERO)
     if kac != ONE:
         raise RuntimeError("tower invariant failed: Kac identity")
 

@@ -780,6 +780,14 @@ def test_cli_oracles(tmp_path, capsys):
     assert "oracle agree" in out
 
 
+def test_brute_clopen_feasibility_is_a_count():
+    # large sets, which a recursive search could not place, and more
+    # source cylinders than targets, which a backtracking one takes
+    # factorial time to refuse
+    assert cli._brute_clopen_feasible(4096, range(1500), range(2000))
+    assert not cli._brute_clopen_feasible(4096, range(2000), range(1500))
+
+
 def test_integer_return_counts_golden():
     counts = cli.integer_return_counts(golden_theta(), 10946)
     assert counts == {1: 2586, 2: 4180}

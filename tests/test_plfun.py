@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dyncomp.cli import float_birkhoff_min
+from dyncomp.comparison import _translated_pieces
 from dyncomp.errors import BreakpointBudget, EmptyInput, MixedAmbient, NoGap
 from dyncomp.plfun import (
     CylinderFunction,
@@ -214,6 +215,13 @@ def test_extrema_against_sampling():
         assert abs(mx - best_hi) <= lip / 1000
 
 
+def test_global_extrema_takes_the_first_minimum():
+    f = PLFunction([(R(0), R(1)), (R(1, 4), R(-1, 2)), (R(1, 2), R(3, 2)), (R(3, 4), R(-1, 2))])
+    assert global_extrema(f) == (R(-1, 2), R(3, 2), R(1, 4))
+    g = translate_fn(GOLDEN, f, 1)  # minima at theta - 1/4, then at theta + 1/4
+    assert global_extrema(g)[2] == GOLDEN.theta - R(1, 4)
+
+
 def test_extrema_on_region():
     f = bump(closed(GOLDEN, R(1, 4), R(1, 2)), open_arc(GOLDEN, R(1, 8), R(5, 8)))
     assert extrema_on(f, closed(GOLDEN, R(1, 4), R(1, 2))) == (R(1), R(1))
@@ -283,6 +291,8 @@ def test_cylinder_functions():
     assert sorted(support_of(odo, moved).indices) == [1, 5]
     assert integral(odo, ind) == R(1, 3)
     assert moved.range_bounds() == (R(0), R(1))
+    ramp = translate_fn(odo, CylinderFunction(range(1, 7)), 2)
+    assert ramp.values == tuple(map(R, (5, 6, 1, 2, 3, 4)))
 
 
 # -- properties of the linear-time kernel against the evaluate-based oracle
@@ -534,6 +544,23 @@ def test_support_of_matches_the_constructor_form(D, data):
     n = data.draw(st.integers(-30, 30))
     for h in (f, translate_fn(system, f, n), sum_of([f, g]), minimum(f, g)):
         assert support_of(system, h).pieces == support_by_segments(system, h).pieces
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ROTATIONS)), st.data())
+def test_translated_pieces_match_the_translated_support(D, data):
+    # the verifier's rotation of support arcs against the region's, and
+    # against the support of the rotated function, which moves breakpoints
+    system = ROTATIONS[D]
+    f, g = data.draw(field_functions(D)), data.draw(field_functions(D))
+    d, e = data.draw(st.integers(-40, 40)), data.draw(st.integers(-40, 40))
+    pieces = set()
+    for h, n in ((f, d), (g, d), (f, e)):
+        moved = translate_region(system, support_of(system, h), n).pieces
+        assert set(_translated_pieces(system, [(h, n)])) == set(moved)
+        assert moved == support_of(system, translate_fn(system, h, n)).pieces
+        pieces.update(moved)
+    assert set(_translated_pieces(system, [(f, d), (g, d), (f, e)])) == pieces
 
 
 # -- exact window minima against the built sum and the float orbit sum

@@ -278,6 +278,22 @@ def test_cylinder_region():
     assert measure_gap(od, a, a.complement()) == R(Fraction(1, 2))
 
 
+def test_odometer_small_nbhd_and_cylinder_sets():
+    od = Odometer([2, 3])
+    empty = CylinderRegion.empty(od)
+    assert small_nbhd(od, empty, R(Fraction(1, 5))) == CylinderRegion(od, [0])
+    with pytest.raises(NotNull, match="no cylinder has measure below 1/6"):
+        small_nbhd(od, empty, R(Fraction(1, 6)))
+    with pytest.raises(NotNull, match="odometer regions of measure zero are empty"):
+        small_nbhd(od, CylinderRegion(od, [1]), R(Fraction(1, 5)))
+    a, b = CylinderRegion(od, [0, 2]), CylinderRegion(od, [2, 5])
+    assert a.union(b) == CylinderRegion(od, [0, 2, 5])
+    assert empty.is_empty and not empty.is_full and not a.is_full
+    full = CylinderRegion.full(od)
+    assert full.is_full and not full.is_empty and full.indices == frozenset(range(6))
+    assert a.contains_point((0, 1)) and not a.contains_point((1, 0))
+
+
 def test_box_region():
     T = TorusRotation([ExactScalar(0, 1, 2, 2), ExactScalar(0, 1, 3, 3)])
     box = ((R(0), R(Fraction(1, 4)), True, True), (R(0), R(Fraction(1, 2)), True, True))

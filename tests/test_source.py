@@ -38,3 +38,54 @@ def test_package_has_no_unused_import():
         if (unused := unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
+
+
+def private_names(tree):
+    """Module-level private names, dunders aside, that a def, a class or an
+    assignment binds, with the statement that binds each."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                out[name] = node
+    return out
+
+
+def reads(node):
+    """Names read under node, as a bare name or as an attribute."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def unread_private_names(trees):
+    """Module-level private names of the modules that no module reads; a
+    name read only in its own definition, as a recursive call, is unread."""
+    defined = {}
+    for tree in trees:
+        defined.update(private_names(tree))
+    read_by = [(stmt, reads(stmt)) for tree in trees for stmt in tree.body]
+    return sorted(name for name, node in defined.items()
+                  if not any(name in names for stmt, names in read_by if stmt is not node))
+
+
+def test_unread_private_names_are_found():
+    tree = ast.parse("_A = 1\n_B, _C = _A, 2\ndef _f():\n    return _f()\n"
+                     "class _K:\n    pass\n__dunder__ = 1\n_used = 0\nprint(x._used)\n")
+    assert unread_private_names([tree]) == ["_B", "_C", "_K", "_f"]
+
+
+def test_package_has_no_unread_private_name():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    assert unread_private_names(trees) == []

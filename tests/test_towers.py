@@ -26,7 +26,8 @@ from dyncomp.towers import (
     refine_tower,
 )
 import keyed_oracle
-from walk_oracle import level_locator, materialized, oracle_gaps, oracle_walks, walk_levels
+from walk_oracle import (level_locator, materialized, oracle_gaps, oracle_walks, read_level,
+                         walk_levels)
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -665,7 +666,7 @@ def test_derived_walk_and_gaps_match_walk_and_bisection(Y, grid_cuts, m, ks):
             walked = tuple(walk_levels(system, cell.interior(), n))
             assert len(t.walks[k]) == len(t.level_gaps[k]) == len(walked) == n
             for j, level in enumerate(walked):
-                assert t.level(k, j) == level
+                assert read_level(t, k, j) == level
                 assert t.level_gaps[k][j] == oracle[k][j]
 
 

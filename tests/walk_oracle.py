@@ -3,22 +3,24 @@
 `walk_levels(system, opened, n)` walks the levels of an open region the way
 the library once did: on a circle each level is a tuple of lifted open arcs
 (lo, hi) of ExactScalars, one per logical arc, and the next level adds theta
-to each lo and wraps it with one compare; the whole circle is
-`_FULL_LEVEL`.  `ArcLocator` places such arcs against sorted points by
-`bisect_right` and exact comparisons, and `level_locator` places such
-levels against a region.  The library walks, refines, tiles and counts on
-an integer lattice; `materialized(tower)` reads its levels back as
-scalars (`RokhlinTower.level`), which must equal `oracle_walks(tower)`, and
+to each lo and wraps it with one compare; the whole circle, which no lifted
+arc covers, is the sentinel `_FULL_LEVEL`.  `ArcLocator` places such arcs
+against sorted points by `bisect_right` and exact comparisons, and
+`level_locator` places such levels against a region.  The library walks,
+refines, tiles and counts on an integer lattice; `read_level(tower, k, j)`
+reads one of its levels back as scalars through `Lattice.scalar`, and
+`materialized(tower)` all of them, which must equal `oracle_walks(tower)`;
 its level gaps must equal `oracle_gaps(tower)`.
 """
 
 from bisect import bisect_right
 
-from dyncomp.regions import _FULL_LEVEL, _ambient
-from dyncomp.scalars import ExactScalar
+from dyncomp.regions import _ambient
+from dyncomp.scalars import ONE, ZERO, ExactScalar
 from dyncomp.systems import Odometer
 
 _TWO = ExactScalar(2)
+_FULL_LEVEL = ((ZERO, ONE),)
 
 
 def walk_levels(system, opened, n):
@@ -82,9 +84,21 @@ class ArcLocator:
         return (g == 0 or lifted[g - 1] <= lo) and hi <= lifted[g]
 
 
+def read_level(tower, k, j):
+    """Level j of column k of a tower's walk; on a circle its arcs (lo, hi)
+    as ExactScalars, or _FULL_LEVEL for the whole circle."""
+    level = tower.walks[k][j]
+    if tower.lattice is None:
+        return level
+    if tower.columns[k][0].is_full:
+        return _FULL_LEVEL
+    scalar = tower.lattice.scalar
+    return tuple((scalar(A, B), scalar(C, E)) for A, B, C, E in level)
+
+
 def materialized(tower):
-    """Per column, the tower's levels as the library reads them back."""
-    return tuple(tuple(tower.level(k, j) for j in range(len(walk)))
+    """Per column, the tower's levels read back as scalars."""
+    return tuple(tuple(read_level(tower, k, j) for j in range(len(walk)))
                  for k, walk in enumerate(tower.walks))
 
 
