@@ -17,6 +17,7 @@ default 0).
 """
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -499,7 +500,10 @@ def oracle_birkhoff(args):
 # -- argument plumbing
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parsing keeps nothing in
+    the parser, so every `run` reuses it."""
     parser = _Parser(prog="dyncomp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -599,6 +603,10 @@ def run(argv) -> int:
     except GapNonpositive as exc:
         print("infeasible: %s" % exc, file=sys.stderr)
         return 2
+    except (RecursionError, NotImplementedError) as exc:
+        # RuntimeErrors that are crashes, not a failed postcondition
+        print("error [%s]: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
     except RuntimeError as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return 3

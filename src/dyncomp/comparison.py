@@ -378,8 +378,9 @@ def _level_entries(S, levels):
     ends of each level.
 
     Its canonical breakpoints are those of S strictly inside (lo, hi), with
-    value 1 - v and S's jump negated; a level through 0 takes them from
-    both sides of the seam, up to hi - 1, which is below lo.  They are
+    value 1 - v (0 for 1 and 1 for 0, with no arithmetic) and S's jump
+    negated; a level through 0 takes them from both sides of the seam, up
+    to hi - 1, which is below lo.  They are
     found by bisection on the `dyadic_keys` of S's abscissae and of the
     levels' ends, from one call.
     """
@@ -396,9 +397,9 @@ def _level_entries(S, levels):
         else:  # the level passes 1
             k, m = bisect_left(xs, hi), bisect_right(xs, lo)
             inside, kinks = bps[:k] + bps[m:], jumps[:k] + jumps[m:]
-        out.append(PLFunction._canonical([(at, ONE - v) for at, v in inside],
-                                         [-jump for jump in kinks])
-                   if inside else PLFunction.constant(ZERO))
+        out.append(PLFunction._canonical(
+            [(at, ZERO if v == ONE else ONE if not v else ONE - v) for at, v in inside],
+            [-jump for jump in kinks]) if inside else PLFunction.constant(ZERO))
     return out
 
 
@@ -595,8 +596,9 @@ def verify_witness(system, C, U, witness) -> VerificationReport:
     failures = []
     ranges_ok = True
     for i, (f, _) in enumerate(entries):
-        if circle:  # f is linear between its breakpoints
-            bad = not all(v.sign() >= 0 and v.cmp_int(1) <= 0 for _, v in f.breakpoints)
+        if circle:  # f is linear between its breakpoints; a/c is in [0, 1] iff 0 <= a <= c
+            bad = not all(0 <= v.a <= v.c if not v.b else v.sign() >= 0 and v.cmp_int(1) <= 0
+                          for _, v in f.breakpoints)
         else:
             lo, hi = f.range_bounds()
             bad = lo.sign() < 0 or (hi - ONE).sign() > 0

@@ -42,22 +42,29 @@ class PLFunction:
         pts = [(ExactScalar.coerce(x), ExactScalar.coerce(v)) for x, v in breakpoints]
         if not pts:
             raise EmptyInput("a PL function needs at least one breakpoint")
-        pts.sort(key=lambda p: p[0])
+        # a list already strictly increasing needs no sort and has no
+        # duplicate; any other is sorted and scanned after the range check
+        ordered = all(a[0] < b[0] for a, b in zip(pts, pts[1:]))
+        if not ordered:
+            pts.sort(key=itemgetter(0))
         top = pts[-1][0]
         if pts[0][0].sign() < 0 or top.cmp_int(1) >= 0:
             raise ValueError("breakpoint abscissae must lie in [0, 1)")
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
-            if x0 == x1:
-                raise ValueError("duplicate breakpoint abscissa %r" % (x0,))
+        if not ordered:
+            for (x0, _), (x1, _) in zip(pts, pts[1:]):
+                if x0 == x1:
+                    raise ValueError("duplicate breakpoint abscissa %r" % (x0,))
         fields = {s.D for p in pts for s in p if s.b}
         if len(fields) > 1:
             raise ValueError("incompatible quadratic fields D=%d, D=%d" % tuple(sorted(fields))[:2])
         D = fields.pop() if fields else 1
-        # each segment's slope, the one wrapping 1 -> 0 last; a breakpoint
-        # stays where the slopes on its two sides differ
+        # each segment's slope, the one wrapping 1 -> 0 last, zero on a flat
+        # segment; a breakpoint stays where the slopes on its two sides
+        # differ, and a jump next to a zero slope is a copy or a negation
         ends = pts[1:] + [(pts[0][0] + 1, pts[0][1])]
-        s = [_slope(xa, va, xb, vb, D) for (xa, va), (xb, vb) in zip(pts, ends)]
-        jp = [b - a for a, b in zip(s[-1:] + s, s)]
+        s = [ZERO if va == vb else _slope(xa, va, xb, vb, D)
+             for (xa, va), (xb, vb) in zip(pts, ends)]
+        jp = [(b - a if b else -a) if a else b for a, b in zip(s[-1:] + s, s)]
         kinks = [i for i, j in enumerate(jp) if j]
         if kinks:
             pts, jp = [pts[i] for i in kinks], [jp[i] for i in kinks]
@@ -208,9 +215,10 @@ def difference(f, g) -> PLFunction:
 
 
 def _wrap_slope(f):
-    """Slope of f's segment that wraps 1 -> 0 (0 for a constant)."""
+    """Slope of f's segment that wraps 1 -> 0 (0 for a constant, or when
+    the segment is flat)."""
     (xa, va), (xb, vb) = f.breakpoints[-1], f.breakpoints[0]
-    return (vb - va) / (xb + ONE - xa)
+    return ZERO if va == vb else (vb - va) / (xb + ONE - xa)
 
 
 def _merged(fns):
@@ -248,6 +256,9 @@ def sum_of(fns) -> PLFunction:
     keeps the owner's jump as it is: it is never zero, because constants,
     whose one jump is zero, only add to the value and are not merged.
     The sweep starts on the segment that wraps into the first abscissa.
+    Where the result is known it does no arithmetic: a flat wrap segment
+    adds only its value, and nothing when that is 0; the value moves only
+    while the running slope is not 0; two opposite jumps cancel.
     """
     fns = list(fns)
     if not fns:
@@ -256,30 +267,46 @@ def sum_of(fns) -> PLFunction:
         return fns[0]
     value = sum((f.breakpoints[0][1] for f in fns if len(f._xs) == 1), ZERO)
     kinked = [f for f in fns if len(f._xs) > 1]
-    x0 = min((f._xs[0] for f in kinked), default=ZERO)
+    merged = list(_merged(kinked))
+    x0 = merged[0][0] if merged else ZERO
     jumps = [f.jumps for f in kinked]
     slope = ZERO
     for f in kinked:
-        s = _wrap_slope(f)
-        slope = slope + s
         (xa, va), (xb, vb) = f.breakpoints[-1], f.breakpoints[0]
+        if va == vb:
+            if va:
+                value = value + va
+            continue
+        s = (vb - va) / (xb + ONE - xa)
+        slope = slope + s
         value = value + (vb if xb == x0 else va + s * (x0 + ONE - xa))
     out = []
     kept = []
     at = x0
-    for x, owners in _merged(kinked):
+    for x, owners in merged:
         fi, i = owners[0]
         jump = jumps[fi][i]
         if len(owners) > 1:
-            for fi, i in owners[1:]:
-                jump = jump + jumps[fi][i]
-            if not jump:
-                continue
-        value = value + slope * (x - at)
+            if len(owners) == 2:
+                fi, i = owners[1]
+                other = jumps[fi][i]
+                if (jump.a == -other.a and jump.b == -other.b and jump.c == other.c
+                        and jump.D == other.D):
+                    continue
+                jump = jump + other
+            else:
+                for fi, i in owners[1:]:
+                    jump = jump + jumps[fi][i]
+                if not jump:
+                    continue
+        if slope:
+            value = value + slope * (x - at)
+            slope = slope + jump
+        else:
+            slope = jump
         at = x
         out.append((x, value))
         kept.append(jump)
-        slope = slope + jump
     if not out:
         return PLFunction.constant(value)
     return PLFunction._canonical(out, kept)
@@ -296,11 +323,11 @@ def _walk(f, fi, merged):
         for gi, i in owners:
             if gi == fi:
                 xa, va = bps[i]
-                slope = slope + jumps[i]
+                slope = slope + jumps[i] if slope else jumps[i]
                 out.append(va)
                 break
         else:
-            out.append(va + slope * (x - xa))
+            out.append(va + slope * (x - xa) if slope else va)
     return out
 
 
@@ -407,10 +434,20 @@ def birkhoff_min(system, g, N: int) -> ExactScalar:
 
     The orbit runs on an integer lattice: with L the common denominator of
     theta and g's abscissae, a point is a pair (A, B) standing for
-    (A + B sqrt(D)) / L, a step adds theta's pair and a wrap subtracts L
-    after one sign test.  On each segment g is affine in (A, B) with
-    integer coefficients over one denominator M, so every term and window
-    sum is an integer pair over M; the one scalar built is the least.
+    (A + B sqrt(D)) / L, and a step adds theta's pair.  On each segment g
+    is affine in (A, B) with integer coefficients over one denominator M,
+    so every term and window sum is an integer pair over M; the one scalar
+    built is the least.
+
+    The walk knows its segment.  The cuts 0 <= x_0 < ... < x_{n-1} < 1 and
+    the same cuts plus 1 split [0, 2) into pieces, the p-th of [0, 1)
+    holding the points with p breakpoints at or below them.  A point of
+    piece p moves by theta into the lifted pieces from the one holding
+    c_p + theta, c_p the piece's left end, and passes only the cuts below
+    c_{p+1} + theta, worked out once by one merge.  So a step tests the new
+    point against those cuts in order, most often one, and a piece past
+    [0, 1) wraps by subtracting L.  Each test is the sign rule of
+    `_sign_surd` written out, with no call per term or window.
     """
     N = _birkhoff_window(system, N)
     bps = g.breakpoints
@@ -424,10 +461,11 @@ def birkhoff_min(system, g, N: int) -> ExactScalar:
     xs = [lattice.pair(x) for x, _ in bps]
     n = len(bps)
     # the slope of the segment each breakpoint starts; the last wraps 1 -> 0
-    slopes = [(vb - va) / (xb - xa) for (xa, va), (xb, vb) in zip(bps, bps[1:])]
+    slopes = [ZERO if va == vb else (vb - va) / (xb - xa)
+              for (xa, va), (xb, vb) in zip(bps, bps[1:])]
     slopes.append(_wrap_slope(g))
     M = math.lcm(*(v.c for _, v in bps), *(s.c * L for s in slopes))
-    # rows[k + 1] writes g(y) * M on segment k as
+    # rows[p] writes g(y) * M on piece p as
     # (c0 + c1 A + c2 B) + (e0 + e1 A + e2 B) sqrt(D); rows[0] is the last
     # segment lifted by -1, for y < x_0
     lifted = (xs[-1][0] - L, xs[-1][1])
@@ -438,34 +476,54 @@ def birkhoff_min(system, g, N: int) -> ExactScalar:
         c2 = e1 * D
         rows.append((v.a * mv - c1 * xa - c2 * xb, c1, c2,
                      v.b * mv - e1 * xa - c1 * xb, e1, c1))
+    # moves[p]: the lifted piece holding c_p + theta and the cuts a point
+    # of piece p may pass after a step
+    ends = [(0, 0)] + xs + [(L, 0)]
+    cuts = ends[:-1] + [(a + L, b) for a, b in ends[:-1]]
+    first, q = [], 0
+    for a, b in ends:
+        a, b = a + TA, b + TB
+        while q + 1 < len(cuts) and _sign_surd(a - cuts[q + 1][0], b - cuts[q + 1][1], D) >= 0:
+            q += 1
+        first.append(q)
+    moves = [(first[p], cuts[first[p] + 1:first[p + 1] + 1]) for p in range(n + 1)]
     best = None
     for (x, _), jump in zip(bps, g.jumps):
         if jump.sign() <= 0:
             continue
         A, B = lattice.pair((x - theta * (N - 1)).frac())
+        p = 0
+        while p < n and _sign_surd(A - xs[p][0], B - xs[p][1], D) >= 0:
+            p += 1
         pa = pb = 0
         PA, PB = [0], [0]  # prefix sums of the terms a_u, u = 1 - N, ...
         for _ in range(2 * N - 1):
-            lo, hi = 0, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                ya, yb = xs[mid]
-                if _sign_surd(A - ya, B - yb, D) < 0:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            c0, c1, c2, e0, e1, e2 = rows[lo]
+            c0, c1, c2, e0, e1, e2 = rows[p]
             pa += c0 + c1 * A + c2 * B
             pb += e0 + e1 * A + e2 * B
             PA.append(pa)
             PB.append(pb)
             A += TA
             B += TB
-            if _sign_surd(A - L, B, D) >= 0:
+            q, passing = moves[p]
+            for ca, cb in passing:
+                u, v = A - ca, B - cb
+                if (u < 0 if not v else v < 0 if (u >= 0) == (v > 0)
+                        else (u * u > v * v * D) == (v > 0)):  # u + v sqrt(D) < 0
+                    break
+                q += 1
+            if q > n:
                 A -= L
+                q -= n + 1
+            p = q
         for ha, la, hb, lb in zip(PA[N:], PA, PB[N:], PB):
             wa, wb = ha - la, hb - lb
-            if best is None or _sign_surd(wa - best[0], wb - best[1], D) < 0:
+            if best is None:
+                best = wa, wb
+                continue
+            u, v = wa - best[0], wb - best[1]
+            if (u < 0 if not v else v < 0 if (u >= 0) == (v > 0)
+                    else (u * u > v * v * D) == (v > 0)):
                 best = wa, wb
     return _reduced(best[0], best[1], M, D)
 
@@ -572,22 +630,33 @@ def bump(F, W) -> PLFunction:
 
 def trapezoid(x, w) -> PLFunction:
     """bump([x - w/2, x + w/2], (x - w, x + w)) in closed form, for x in
-    [0, 1) and 0 < w <= 1/2: 0 at x -/+ 3w/4 and 1 from x - w/2 to x + w/2.
-    The corners lie within 3/8 of [0, 1), so one sign test wraps each: a
-    low corner below 0 moves past the others, a high one at 1 or more in
-    front of them, and the corners start at the least one."""
+    [0, 1) and 0 < w <= 1/2: 0 at x -/+ 3w/4 and 1 from x - w/2 to x + w/2."""
+    return _trapezoid_at(x, _trapezoid_shape(w))
+
+
+def _trapezoid_shape(w):
+    """What the trapezoids of width w share: the corner offsets k w/4 for
+    k = -3, -2, 2, 3, each with its value, and the ramps' slope jumps."""
     q = w / 4
-    r = ONE / q  # the ramps' slope
+    r = ONE / q
+    return ((-3 * q, ZERO), (-2 * q, ONE), (2 * q, ONE), (3 * q, ZERO)), (r, -r, -r, r)
+
+
+def _trapezoid_at(x, shape) -> PLFunction:
+    """`trapezoid(x, w)` from w's `_trapezoid_shape`.  The corners lie within
+    3/8 of [0, 1), so one sign test wraps each: a low corner below 0 moves
+    past the others, a high one at 1 or more in front of them, and the
+    corners start at the least one."""
+    corners, jumps = shape
     pts, start = [], 0
-    for i, (k, v) in enumerate(((-3, ZERO), (-2, ONE), (2, ONE), (3, ZERO))):
-        y = x + k * q
-        if k < 0 and y.sign() < 0:
+    for i, (d, v) in enumerate(corners):
+        y = x + d
+        if i < 2 and y.sign() < 0:
             y, start = y + 1, i + 1
-        elif k > 0 and y.cmp_int(1) >= 0:
+        elif i > 1 and y.cmp_int(1) >= 0:
             y, start = y - 1, start or i
         pts.append((y, v))
-    jumps = [r, -r, -r, r]
-    return PLFunction._canonical(pts[start:] + pts[:start], jumps[start:] + jumps[:start])
+    return PLFunction._canonical(pts[start:] + pts[:start], list(jumps[start:] + jumps[:start]))
 
 
 def min_cascade(system, gs):

@@ -37,7 +37,7 @@ from .regions import (
     translate_region,
     union_many,
 )
-from .plfun import extrema_on, min_cascade, sum_of, support_of, trapezoid
+from .plfun import _trapezoid_at, _trapezoid_shape, extrema_on, min_cascade, sum_of, support_of
 
 DEFAULT_DEPTH = 10**4
 SHIFT_WINDOW = 8  # verify_smallness scans the shifts 0 < |e| <= SHIFT_WINDOW
@@ -533,7 +533,8 @@ def leftover_cover(system, F, U, eps, search_depth: int = DEFAULT_DEPTH) -> Left
     the W_j are pairwise disjoint with total mass under eps; F_j is the arc
     of radius w/8 around the point x_j.  The bump of each pair (pullback of
     closure(V_j), pullback of W_j), arcs of radius w/2 and w around x_j, is
-    `trapezoid(x_j, w)`, built with no region; the trapezoids enter a
+    `trapezoid(x_j, w)`, built with no region and with its corner offsets
+    and slope worked out once per distinct width; the trapezoids enter a
     min-cascade, so the sum is exactly 1 on the union of the pulled-back
     closure(V_j).  The cover keeps x_j, t_j and w and builds its regions
     only when read.  It is not self-checked: callers run
@@ -544,8 +545,13 @@ def leftover_cover(system, F, U, eps, search_depth: int = DEFAULT_DEPTH) -> Left
     if eps.sign() <= 0:
         raise EmptyInput("epsilon must be positive")
     points, targets, shifts, spans = _plan(system, F, U, search_depth, "leftover covers", eps)
-    widths = tuple(s / 2 for s in spans)
-    fs = min_cascade(system, [trapezoid(x, w) for x, w in zip(points, widths)])
+    shapes = {}  # span -> (width, trapezoid shape)
+    for s in spans:
+        if s not in shapes:
+            w = s / 2
+            shapes[s] = w, _trapezoid_shape(w)
+    widths = tuple(shapes[s][0] for s in spans)
+    fs = min_cascade(system, [_trapezoid_at(x, shapes[s][1]) for x, s in zip(points, spans)])
     return LeftoverCover(system, points, targets, widths, tuple(fs), shifts, eps)
 
 

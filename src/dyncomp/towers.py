@@ -14,7 +14,6 @@ and for the levels a caller reads off the walk through `Lattice.scalar`.
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from operator import methodcaller
 
 from .errors import (
     EmptyInput,
@@ -131,15 +130,8 @@ class RokhlinTower:
 
     def open_levels(self):
         """Yield (column index, level index, open level region)."""
-        return self._levels(methodcaller("interior"))
-
-    def closed_levels(self):
-        return self._levels(methodcaller("closure"))
-
-    def _levels(self, part):
-        """Yield (column index, level index, the level of part(cell))."""
         for k, (cell, n) in enumerate(self.columns):
-            level = part(cell)
+            level = cell.interior()
             for j in range(n):
                 if j:
                     level = translate_region(self.system, level, 1)

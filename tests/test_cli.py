@@ -3,11 +3,12 @@ import hashlib
 import os
 import random
 import re
+import sys
 import time
 
 import pytest
 
-from dyncomp import cli, comparison
+from dyncomp import cli, comparison, scalars
 from dyncomp.certfile import (
     CertificateFile,
     emit_certfile,
@@ -676,6 +677,77 @@ def _count_calls(monkeypatch, owners, name):
     for owner in owners:
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def test_cli_golden_work_stays_bounded(tmp_path, capsys):
+    # calls to the two scalar builders over one golden compare, verify and
+    # birkhoff --check, pinned 10% above the count they first had (14,220
+    # and 19,994; 33,104 and 39,704 before flat segments, 0/1 level values
+    # and per-width trapezoids skipped their arithmetic); the count is
+    # deterministic, so it guards the work where a wall-time budget could not
+    spec = write(tmp_path, "golden.spec", GOLDEN_FE_SPEC)
+    cert = str(tmp_path / "golden.cert")
+    codes = {scalars._reduced.__code__: "_reduced", scalars._new.__code__: "_new"}
+    calls = dict.fromkeys(codes.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        codes_out = [cli.run(argv) for argv in (
+            ["compare", "--spec", spec, "--out", cert],
+            ["verify", "--spec", spec, "--cert", cert],
+            ["birkhoff", "--spec", spec, "--check"])]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes_out == [0, 0, 0]
+    assert calls["_reduced"] <= 15_642 and calls["_new"] <= 21_993, calls
+
+
+def test_cli_reuses_one_parser(tmp_path, capsys):
+    # the argparse tree is built once per process; a usage error, a flag
+    # and a run without it, in either order, keep nothing from one run to
+    # the next
+    spec = write(tmp_path, "golden.spec", GOLDEN_FE_SPEC)
+    runs = (["birkhoff", "--spec", spec, "--frobnicate"],
+            ["birkhoff", "--spec", spec, "--sigma-fraction", "1/3"],
+            ["birkhoff", "--spec", spec])
+    first = []
+    for argv in runs:
+        first.append((cli.run(argv), capsys.readouterr()))
+    assert [code for code, _ in first] == [1, 0, 0]
+    assert first[0][1].err == "usage error: unrecognized arguments: --frobnicate\n"
+    assert first[1][1].out != first[2][1].out
+    for argv, want in reversed(list(zip(runs, first))):
+        assert (cli.run(argv), capsys.readouterr()) == want
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("crash", [RecursionError("maximum recursion depth exceeded"),
+                                   NotImplementedError("no such case")])
+def test_cli_crashes_are_errors_not_failed_checks(tmp_path, capsys, monkeypatch, crash):
+    # RecursionError and NotImplementedError are RuntimeErrors, but a crash
+    # is not a failed proof: exit 4, named; a postcondition's RuntimeError
+    # stays a verification failure, exit 3
+    spec = write(tmp_path, "golden.spec", GOLDEN_FE_SPEC)
+
+    def raising(*args):
+        raise crash
+
+    monkeypatch.setattr(cli, "birkhoff_certificate", raising)
+    assert cli.run(["birkhoff", "--spec", spec]) == 4
+    assert capsys.readouterr().err == "error [%s]: %s\n" % (type(crash).__name__, crash)
+
+    def failing(*args):
+        raise RuntimeError("certificate postcondition failed")
+
+    monkeypatch.setattr(cli, "birkhoff_certificate", failing)
+    assert cli.run(["birkhoff", "--spec", spec]) == 3
+    assert capsys.readouterr().err == (
+        "verification failure: certificate postcondition failed\n")
 
 
 def test_cli_each_command_verifies_once(tmp_path, capsys, monkeypatch):

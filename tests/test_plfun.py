@@ -298,17 +298,27 @@ def test_cylinder_functions():
 # -- properties of the linear-time kernel against the evaluate-based oracle
 
 
+def flat_values(D):
+    """Only the values 0, 1 and (1 + sqrt D)/4, so that flat segments, the
+    one wrapping 1 -> 0 among them, are common and most are not 0."""
+    return st.sampled_from((ZERO, ONE, ExactScalar(1, 1, 4, D)))
+
+
 @st.composite
-def pl_functions(draw, max_points=6):
+def pl_functions(draw, max_points=6, values=None):
     """A PL function through the validating constructor: abscissae k/16 or
-    frac(m*theta + r/8) in Q(sqrt 5), values (a + b*sqrt 5)/4."""
+    frac(m*theta + r/8) in Q(sqrt 5), values (a + b*sqrt 5)/4, or drawn
+    from values when given."""
     pts = {}
     for _ in range(draw(st.integers(1, max_points))):
         if draw(st.booleans()):
             x = R(draw(st.integers(0, 15)), 16)
         else:
             x = (THETA * R(draw(st.integers(-50, 50))) + R(draw(st.integers(0, 7)), 8)).frac()
-        pts[x] = ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, 5)
+        if values is None:
+            pts[x] = ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, 5)
+        else:
+            pts[x] = draw(values)
     return PLFunction(list(pts.items()))
 
 
@@ -326,8 +336,8 @@ def probe_points(*fns):
     return xs + mids
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(pl_functions(), min_size=2, max_size=5))
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pl_functions() | pl_functions(values=flat_values(5)), min_size=2, max_size=5))
 def test_sum_of_matches_pointwise_sum(fns):
     for args in (fns[:2], fns):
         total = sum_of(args)
@@ -501,16 +511,21 @@ def field_abscissa(draw, theta):
 
 
 @st.composite
-def field_functions(draw, D, max_points=5):
+def field_functions(draw, D, max_points=5, values=None):
     """A PL function over Q(sqrt D) through the validating constructor,
-    with values (a + b sqrt D)/4 that are often 0; one in five a constant."""
+    with values (a + b sqrt D)/4 that are often 0, or drawn from values
+    when given; one in five a constant."""
     theta = ROTATIONS[D].theta
     if draw(st.integers(0, 4)) == 0:
         return PLFunction.constant(ExactScalar(draw(st.integers(-4, 4)), 0, 2))
     pts = {}
     for _ in range(draw(st.integers(1, max_points))):
-        zero = draw(st.booleans())
-        v = ZERO if zero else ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, D)
+        if values is not None:
+            v = draw(values)
+        elif draw(st.booleans()):
+            v = ZERO
+        else:
+            v = ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, D)
         pts[field_abscissa(draw, theta)] = v
     return PLFunction(list(pts.items()))
 
@@ -567,19 +582,22 @@ def test_translated_pieces_match_the_translated_support(D, data):
 
 
 @st.composite
-def window_functions(draw, D):
+def window_functions(draw, D, values=None):
     """g over Q(sqrt D): a constant, one kink of each sign, breakpoints on
     one orbit (x, frac(x + m theta), ...) or any field_functions draw; the
     first three with an abscissa at 0 half the time.  The seam segment is
-    sloped whenever the first and last values differ."""
+    sloped whenever the first and last values differ.  Values are drawn
+    from values when given."""
     theta = ROTATIONS[D].theta
 
     def value():
+        if values is not None:
+            return draw(values)
         return ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, D)
 
     shape = draw(st.sampled_from(("constant", "one kink", "one orbit", "any")))
     if shape == "any":
-        return draw(field_functions(D))
+        return draw(field_functions(D, values=values))
     if shape == "constant":
         return PLFunction.constant(value())
     x = field_abscissa(draw, theta)
@@ -593,11 +611,11 @@ def window_functions(draw, D):
     return PLFunction([(x, value()) for x in set(xs)])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(ROTATIONS)), st.data())
 def test_birkhoff_min_matches_the_built_sum(D, data):
     system = ROTATIONS[D]
-    g = data.draw(window_functions(D))
+    g = data.draw(window_functions(D) | window_functions(D, flat_values(D)))
     N = data.draw(st.integers(1, 12) | st.integers(13, 300))
     low, _, argmin = global_extrema(birkhoff_sum(system, g, N))
     assert birkhoff_min(system, g, N) == low
@@ -628,15 +646,17 @@ def test_birkhoff_min_errors():
 
 
 @st.composite
-def breakpoint_lists(draw, D):
+def breakpoint_lists(draw, D, values=None):
     """Raw breakpoint lists over Q(sqrt D), shuffled: a constant through
     several points, one point away from 0, or a few points with collinear
     runs inserted into their segments, the one that wraps 1 -> 0 included;
     some lists are then spoiled by an empty list, a duplicate abscissa or
-    an abscissa outside [0, 1)."""
+    an abscissa outside [0, 1).  Values are drawn from values when given."""
     theta = ROTATIONS[D].theta
 
     def value():
+        if values is not None:
+            return draw(values)
         if draw(st.booleans()):
             return ZERO
         return ExactScalar(draw(st.integers(-8, 8)), draw(st.integers(-2, 2)), 4, D)
@@ -685,10 +705,32 @@ def assert_matches_the_pruning_oracle(pts):
     assert (len(bps) == 1) == all(v == bps[0][1] for _, v in pts)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(st.sampled_from(sorted(ROTATIONS)), st.data())
 def test_constructor_matches_the_pruning_oracle(D, data):
-    assert_matches_the_pruning_oracle(data.draw(breakpoint_lists(D)))
+    pts = data.draw(breakpoint_lists(D) | breakpoint_lists(D, flat_values(D)))
+    assert_matches_the_pruning_oracle(pts)
+    try:
+        f = PLFunction(pts)
+    except (EmptyInput, ValueError):
+        return
+    # the sum's preamble takes the value of f's wrap segment, flat or not
+    assert sum_of([f, PLFunction.constant(ZERO)]) == f
+
+
+def test_constructor_checks_the_range_before_duplicates():
+    # a list that is already increasing skips the sort and the duplicate
+    # scan; any list with an abscissa outside [0, 1) is refused for that
+    # first, a duplicate in it or not
+    for pts in ([(ZERO, ZERO), (R(1, 2), ONE), (ONE, ZERO)],
+                [(R(1, 2), ONE), (ZERO, ZERO), (R(1, 2), ZERO), (R(5, 4), ONE)],
+                [(R(-1, 4), ONE), (R(1, 2), ZERO), (R(1, 2), ONE)]):
+        with pytest.raises(ValueError) as got:
+            PLFunction(pts)
+        assert str(got.value) == "breakpoint abscissae must lie in [0, 1)"
+    with pytest.raises(ValueError) as got:
+        PLFunction([(R(1, 2), ONE), (ZERO, ZERO), (R(1, 2), ZERO)])
+    assert str(got.value) == "duplicate breakpoint abscissa ExactScalar(1/2)"
 
 
 def test_constructor_matches_the_pruning_oracle_on_fixed_lists():

@@ -678,6 +678,35 @@ def leftover_base(i):
     return F, U, eps, sm.leftover_cover(GOLDEN, F, U, eps)
 
 
+def test_leftover_trapezoids_are_the_closed_form_one_by_one(monkeypatch):
+    # leftover_cover works out each distinct width's corners and slope once
+    # and shares them; each function it hands the cascade is still
+    # trapezoid(x_j, w_j), jumps included, one width or several
+    handed = []
+    cascade = sm.min_cascade
+
+    def recorded(system, gs):
+        handed.append(list(gs))
+        return cascade(system, handed[-1])
+
+    monkeypatch.setattr(sm, "min_cascade", recorded)
+    cases = [(Region.points(GOLDEN, pts), U, eps) for pts, U, eps in LEFTOVER_BASES]
+    rng = random.Random(33)
+    for _ in range(10):
+        cases.append((rand_points(rng, GOLDEN, rng.randrange(1, 7)),
+                      rand_open(rng, GOLDEN, pieces=rng.randrange(1, 3)),
+                      R(1, rng.randrange(10, 40))))
+    several = 0
+    for F, U, eps in cases:
+        cover = sm.leftover_cover(GOLDEN, F, U, eps)
+        want = [trapezoid(x, w) for x, w in zip(cover.points, cover.widths)]
+        got = handed.pop()
+        assert got == want
+        assert [g.jumps for g in got] == [g.jumps for g in want]
+        several += len(set(cover.widths)) > 1
+    assert several
+
+
 def mutate_leftover(data, cover, U, eps):
     """One mutant of a leftover cover, or of the epsilon it is checked with."""
     n = len(cover.points)

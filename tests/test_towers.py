@@ -245,7 +245,7 @@ def test_thin_tower_boundaries():
             orbit.add((b + TH * R(i)).frac())
     # level boundaries all sit on the signed orbit of the base and
     # partition boundary points: finitely many points, hence thin
-    for _, _, level in refined.closed_levels():
+    for _, _, level in refined.open_levels():
         for b in level.boundary_points():
             assert b in orbit
 
