@@ -18,12 +18,17 @@ inputs give byte-equal files):
 
 `parse_certfile(emit_certfile(cf)) == cf` holds field by field, including
 exact scalars; the entries slot round-trips the witness functions and
-shifts, which is all `verify_witness` consumes.
+shifts.  The parse reads the text one line at a time and hands each circle
+entry, as it closes, to an entry reader: by default one that builds the
+witness function, and in `verify` the checker `check.CircleCheck`, which
+takes the bp rows as integers and builds no function.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
-from .errors import MalformedFile
+from .errors import BreakpointBudget, MalformedFile
 from .plfun import CylinderFunction, PLFunction
 from .scalars import ZERO, _reduced
 from .specfile import exact_scalar, region_hash, scalar_tokens, system_echo, parse_system_echo
@@ -66,15 +71,6 @@ def _in_field(x, system):
     return scalar_tokens(x)
 
 
-def _field_scalar(a, b, c, D):
-    """(a + b sqrt(D))/c for the square-free D > 1 of a circle system,
-    normalized by `_reduced` with no factoring of D; MalformedFile, as
-    from exact_scalar, for a zero denominator."""
-    if c == 0:
-        raise MalformedFile("bad scalar triple: scalar denominator is zero")
-    return _reduced(a, b, c, D)
-
-
 def emit_certfile(cf) -> str:
     lines = [
         "dyncomp-cert %d" % cf.version,
@@ -103,85 +99,125 @@ def _ints(tokens, n, what):
     if len(tokens) != n:
         raise MalformedFile("%s expects %d integers" % (what, n))
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError:
         raise MalformedFile("bad integer in %s line" % what) from None
 
 
-def parse_certfile(text) -> CertificateFile:
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    rows = [ln.split() for ln in lines if ln.strip()]
-    if not rows or rows[0][:1] != ["dyncomp-cert"]:
+def _rows(text):
+    """The token lists of the non-blank lines of text, one at a time, with
+    no copy of the whole text; the lines are those of `str.splitlines`,
+    which ends a line also at a separator other than a newline."""
+    start, n = 0, len(text)
+    while start < n:  # blocks of about 64 KB, cut after a newline
+        end = text.find("\n", start + 65536)
+        end = n if end < 0 else end + 1
+        for line in text[start:end].splitlines():
+            row = line.split()
+            if row:
+                yield row
+        start = end
+
+
+def _functions(system):
+    """The default circle entry reader: it builds each entry's `PLFunction`
+    and gives back (function, shift)."""
+    D = system.D
+
+    def entry(shift, rows):
+        return PLFunction([(_reduced(xa, xb, xc, D), _reduced(va, vb, vc, D))
+                           for xa, xb, xc, va, vb, vc in rows]), shift
+    return entry
+
+
+def _cylinder_entry(system):
+    def entry(shift, vals):
+        values = [ZERO] * system.resolution
+        for i, v in vals:
+            values[i] = v
+        return CylinderFunction(values), shift
+    return entry
+
+
+def parse_certfile(text, circle=_functions, bp_cap=None) -> CertificateFile:
+    """The certificate file in text.
+
+    On a circle, circle(system) is called once the system echo is read, and
+    the function it returns gets each entry as it closes, in file order, as
+    its shift and its bp lines, each six integers with no zero denominator;
+    its results fill the entries slot.  By default they are (PLFunction,
+    shift).  Odometer entries are (CylinderFunction, shift).  With bp_cap,
+    a file with more bp lines than that raises BreakpointBudget at the
+    first one past it.
+    """
+    rows = _rows(text)
+    row = next(rows, None)
+    if row is None or row[:1] != ["dyncomp-cert"]:
         raise MalformedFile("not a certificate file (missing dyncomp-cert header)")
-    head = _ints(rows[0][1:], 1, "version")[0]
+    head = _ints(row[1:], 1, "version")[0]
     if head != FORMAT_VERSION:
         raise MalformedFile("unsupported certificate version %d" % head)
-    at = 1
-    if at >= len(rows) or rows[at][:2] != ["tool", "dyncomp"] or len(rows[at]) != 3:
+    row = next(rows, None)
+    if row is None or row[:2] != ["tool", "dyncomp"] or len(row) != 3:
         raise MalformedFile("missing tool line")
-    tool = rows[at][2]
-    at += 1
-    if at >= len(rows) or rows[at][0] != "system":
+    tool = row[2]
+    row = next(rows, None)
+    if row is None or row[0] != "system":
         raise MalformedFile("missing system echo")
-    system = parse_system_echo(rows[at][1:])
-    D = 1 if isinstance(system, Odometer) else system.D
-    at += 1
+    system = parse_system_echo(row[1:])
+    odometer = isinstance(system, Odometer)
+    D = 1 if odometer else system.D
+    take = _cylinder_entry(system) if odometer else circle(system)
+    row = next(rows, None)
     hashes = []
-    while at < len(rows) and rows[at][0] == "input":
-        if len(rows[at]) != 3:
+    while row is not None and row[0] == "input":
+        if len(row) != 3:
             raise MalformedFile("input lines read 'input NAME HASH'")
-        hashes.append((rows[at][1], rows[at][2]))
-        at += 1
+        hashes.append((row[1], row[2]))
+        row = next(rows, None)
 
-    entries = []
-    shift = None
-    bps = []
-    vals = None
-
-    def close_entry():
-        if shift is None:
-            return
-        if vals is not None:
-            values = [ZERO] * system.resolution
-            for i, v in vals:
-                values[i] = v
-            entries.append((CylinderFunction(values), shift))
-        else:
-            if not bps:
-                raise MalformedFile("circle entry has no bp lines")
-            entries.append((PLFunction(bps), shift))
-
-    while at < len(rows) and rows[at][0] != "verdict":
-        row = rows[at]
-        if row[0] == "shift":
-            close_entry()
-            shift = _ints(row[1:], 1, "shift")[0]
-            bps = []
-            vals = [] if isinstance(system, Odometer) else None
-        elif row[0] == "bp":
-            if shift is None or vals is not None:
+    entries, shift, lines, count = [], None, [], 0
+    cap = math.inf if bp_cap is None else bp_cap
+    for row in () if row is None else chain((row,), rows):
+        tag = row[0]  # the branches in order of how often they come up
+        if tag == "bp":
+            if shift is None or odometer:
                 raise MalformedFile("bp line outside a circle entry")
-            xa, xb, xc, va, vb, vc = _ints(row[1:], 6, "bp")
-            bps.append((_field_scalar(xa, xb, xc, D), _field_scalar(va, vb, vc, D)))
-        elif row[0] == "val":
-            if vals is None:
+            bp = _ints(row[1:], 6, "bp")
+            if not bp[2] or not bp[5]:
+                raise MalformedFile("bad scalar triple: scalar denominator is zero")
+            count += 1
+            if count > cap:
+                raise BreakpointBudget(
+                    "certificate holds more than %d breakpoints (cap %d)" % (cap, cap))
+            lines.append(bp)
+        elif tag == "shift":
+            if shift is not None:
+                entries.append(_closed(take, shift, lines, odometer))
+            shift = _ints(row[1:], 1, "shift")[0]
+            lines = []
+        elif tag == "verdict":
+            break
+        elif tag == "val":
+            if shift is None or not odometer:
                 raise MalformedFile("val line outside an odometer entry")
             i, a, b, c = _ints(row[1:], 4, "val")
             if not 0 <= i < system.resolution:
                 raise MalformedFile("val index %d out of range" % i)
-            vals.append((i, exact_scalar(a, b, c, D)))
+            lines.append((i, exact_scalar(a, b, c, D)))
         else:
-            raise MalformedFile("unknown certificate line %r" % row[0])
-        at += 1
-    close_entry()
+            raise MalformedFile("unknown certificate line %r" % tag)
+    else:
+        row = None
+    if shift is not None:
+        entries.append(_closed(take, shift, lines, odometer))
 
     verdicts = []
-    while at < len(rows):
-        row = rows[at]
+    while row is not None:
         if row[0] != "verdict" or len(row) < 3 or row[1] not in ("pass", "fail"):
             raise MalformedFile("footer lines read 'verdict pass|fail NAME'")
         verdicts.append((" ".join(row[2:]), row[1] == "pass"))
-        at += 1
+        row = next(rows, None)
     return CertificateFile(
         version=head,
         tool=tool,
@@ -192,11 +228,18 @@ def parse_certfile(text) -> CertificateFile:
     )
 
 
+def _closed(take, shift, lines, odometer):
+    if not lines and not odometer:
+        raise MalformedFile("circle entry has no bp lines")
+    return take(shift, lines)
+
+
 def write_certfile(path, cf):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(emit_certfile(cf))
 
 
-def load_certfile(path) -> CertificateFile:
+def load_certfile(path, circle=_functions, bp_cap=None) -> CertificateFile:
+    """`parse_certfile` of the file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_certfile(fh.read())
+        return parse_certfile(fh.read(), circle, bp_cap)

@@ -20,6 +20,7 @@ failures instead of raising; the report rides along in the provenance.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
+from .check import CircleCheck
 from .errors import (
     ColumnDeficit,
     EmptyInput,
@@ -43,7 +44,6 @@ from .plfun import (
     integral,
     sum_extrema_on,
     sum_of,
-    support_arcs,
     support_of,
 )
 from .regions import (
@@ -51,11 +51,10 @@ from .regions import (
     CylinderRegion,
     Region,
     _ambient,
-    _rotated,
+    _cut_last,
     disjoint_inside,
     measure_gap,
     outer_approx,
-    soup_disjoint_inside,
     translate_region,
 )
 from .scalars import HALF, ONE, ZERO, ExactScalar, dyadic_keys
@@ -372,6 +371,16 @@ def _source_levels(tower, tables):
     return out
 
 
+def _matched(system, levels):
+    """The region of the lifted open levels (lo, hi), lo in [0, 1), which
+    the tower made pairwise disjoint: sorted by one `dyadic_keys` call, they
+    are canonical pieces once the last, the only one that can pass 1, is
+    cut at the seam (`_cut_last`), so no sweep."""
+    keys = dyadic_keys([lo for lo, _ in levels])
+    arcs = [(lo, hi, False, False) for _, (lo, hi) in sorted(zip(keys, levels))]
+    return Region._make(system, _cut_last(arcs))
+
+
 def _level_entries(S, levels):
     """Per lifted closed level [lo, hi] of levels, 1 - S on it and 0
     elsewhere, where S is the leftover cover's sum, which is 1 near both
@@ -439,7 +448,7 @@ def _attempt(system, C, U, U0, cert, margins, N_base, search_depth):
 
     tables = column_matching(column_counts(refined, CC), column_counts(refined, U0))
     levels = _source_levels(refined, tables)
-    matched = Region(system, [(lo, hi, False, False) for (lo, hi), _ in levels])
+    matched = _matched(system, [arc for arc, _ in levels])
     leftover_region = CC.minus(matched)
     if not leftover_region.interior().is_empty:
         raise ColumnDeficit("matched levels leave an arc of C uncovered")
@@ -559,50 +568,30 @@ def _verified(system, C, U, witness, what):
     return replace(witness, provenance=replace(witness.provenance, report=report))
 
 
-def _translated_pieces(system, entries):
-    """The canonical pieces of the supports of the entries' PL functions
-    translated by their shifts, with no region built.
-
-    Each support's arcs come from its breakpoint signs (`support_arcs`),
-    in the shape of a region's logical arcs, and are rotated by
-    frac(d theta), worked out once per distinct shift d, as
-    `Region.translate` rotates a region (`_rotated`).
-    """
-    shifts = {}
-    soup = []
-    for f, d in entries:
-        arcs = support_arcs(f)
-        if arcs is None:
-            soup.append((ZERO, ONE, True, False))
-            continue
-        s = shifts.get(d)
-        if s is None:
-            s = shifts[d] = (system.theta * d).frac()
-        soup += _rotated(arcs, s)
-    return soup
-
-
 def verify_witness(system, C, U, witness) -> VerificationReport:
     """Re-check the four witness clauses exactly; failures become report
-    entries, never exceptions.  On a circle the ranges are sign tests on
-    breakpoint values, and the translated supports (`_translated_pieces`),
-    whose pieces for one support are pairwise disjoint, go through one
-    keyed sweep with U's pieces (`soup_disjoint_inside`); regions are
-    built only to name the entries that leave U."""
-    circle = isinstance(system, CircleRotation)
-    if not circle and not isinstance(system, Odometer):
+    entries, never exceptions.  On a circle the checker `check.CircleCheck`
+    decides them from the entries' breakpoints as integer triples, the
+    same checker that `verify` streams a certificate file into."""
+    if isinstance(system, CircleRotation):
+        _ambient(system, U)
+        other = {s.D for f, _ in witness.entries for p in f.breakpoints for s in p if s.b}
+        other.discard(system.D)
+        if other:  # the checker reads every sqrt part in the system's field
+            raise ValueError("incompatible quadratic fields D=%d, D=%d" % (min(other), system.D))
+        checker = CircleCheck(system.theta)
+        for f, d in witness.entries:
+            checker.add(d, [(x.a, x.b, x.c, v.a, v.b, v.c) for x, v in f.breakpoints])
+        clauses, failures = checker.report(C.closure().pieces, U.pieces)
+        return VerificationReport(clauses=clauses, failures=failures)
+    if not isinstance(system, Odometer):
         raise MixedAmbient("witness verification runs over circle rotations and odometers")
     entries = witness.entries
     failures = []
     ranges_ok = True
     for i, (f, _) in enumerate(entries):
-        if circle:  # f is linear between its breakpoints; a/c is in [0, 1] iff 0 <= a <= c
-            bad = not all(0 <= v.a <= v.c if not v.b else v.sign() >= 0 and v.cmp_int(1) <= 0
-                          for _, v in f.breakpoints)
-        else:
-            lo, hi = f.range_bounds()
-            bad = lo.sign() < 0 or (hi - ONE).sign() > 0
-        if bad:
+        lo, hi = f.range_bounds()
+        if lo.sign() < 0 or (hi - ONE).sign() > 0:
             ranges_ok = False
             failures.append("entry %d leaves [0, 1]" % i)
     part_ok = True
@@ -614,11 +603,8 @@ def verify_witness(system, C, U, witness) -> VerificationReport:
         if mn != ONE or mx != ONE:
             part_ok = False
             failures.append("sum over the closed set spans [%s, %s]" % (mn, mx))
-    if circle:
-        disj_ok, inside_ok = soup_disjoint_inside(system, _translated_pieces(system, entries), U)
-    else:
-        translated = [translate_region(system, support_of(system, f), d) for f, d in entries]
-        disj_ok, inside_ok = disjoint_inside(system, translated, U)
+    translated = [translate_region(system, support_of(system, f), d) for f, d in entries]
+    disj_ok, inside_ok = disjoint_inside(system, translated, U)
     if not disj_ok:
         failures.append("translated supports overlap")
     if not inside_ok:

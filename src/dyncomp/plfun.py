@@ -557,13 +557,8 @@ def extrema_on(f, region):
 
 
 def sum_extrema_on(fns, region):
-    """(inf, sup) of the sum of fns over the closure of a region.
-
-    Cylinder functions are summed only at the region's own indices; PL
-    functions are summed by sum_of and searched by extrema_on.
-    """
-    if not isinstance(region, CylinderRegion):
-        return extrema_on(sum_of(fns), region)
+    """(inf, sup) of the sum of cylinder functions fns over a cylinder
+    region, summed only at the region's own indices."""
     if region.is_empty:
         raise EmptyInput("extrema over an empty region")
     totals = [sum((f.values[i] for f in fns), ZERO) for i in region.indices]

@@ -458,24 +458,16 @@ def pairwise_disjoint(system, regions) -> bool:
 
 def disjoint_inside(system, regions, U):
     """(pairwise disjoint, all inside U) for canonical regions, from the
-    union of the index sets on an odometer, or from one keyed sweep of
-    their pieces against U's on the circle (`soup_disjoint_inside`)."""
+    union of the index sets on an odometer.  On the circle a cell covered
+    twice is an overlap, and a covered cell outside U an escape: one sweep
+    of the regions' pieces and U's runs on the `dyadic_keys` of every piece
+    end and of 1, from one call, so it sorts and compares integers."""
+    _ambient(system, U)
     if isinstance(system, Odometer):
-        _ambient(system, U)
         union, total = _index_union(system, regions)
         return len(union) == total, union <= U.indices
-    return soup_disjoint_inside(system, _pieces(system, regions), U)
-
-
-def soup_disjoint_inside(system, soup, U):
-    """(pairwise disjoint, all inside U) for a soup of circle pieces
-    (lo, hi, lc, hc), each cut at the seam, in which the pieces of one
-    region are pairwise disjoint: a cell covered twice is an overlap, and
-    a covered cell outside U an escape.  One sweep of the soup and U's
-    pieces runs on the `dyadic_keys` of every piece end and of 1, from one
-    call, so it sorts and compares integers."""
-    _ambient(system, U)
-    pieces = list(soup) + list(U.pieces)
+    soup = _pieces(system, regions)
+    pieces = soup + list(U.pieces)
     keys = dyadic_keys([e for lo, hi, _, _ in pieces for e in (lo, hi)] + [ONE])
     keyed = [(keys[2 * i], keys[2 * i + 1], lc, hc) for i, (_, _, lc, hc) in enumerate(pieces)]
     soup, upieces = keyed[:len(soup)], keyed[len(soup):]

@@ -245,17 +245,15 @@ class ExactScalar:
         return ExactScalar.coerce(other) / self
 
     def floor(self) -> int:
+        """floor((a + b sqrt(D))/c) = floor(floor(a + b sqrt(D))/c), as c is
+        a positive integer.  With s = isqrt(b^2 D), b sqrt(D) is irrational,
+        so it lies strictly between s and s + 1 for b > 0, and between
+        -s - 1 and -s for b < 0: the inner floor is a + s or a - s - 1."""
         a, b, c, D = self.a, self.b, self.c, self.D
         if b == 0:
             return a // c
         s = math.isqrt(b * b * D)
-        n = (a + (s if b > 0 else -s - 1)) // c
-        # self < n exactly when (a - n*c) + b*sqrt(D) < 0, as c > 0
-        while _sign_surd(a - n * c, b, D) < 0:
-            n -= 1
-        while _sign_surd(a - (n + 1) * c, b, D) >= 0:
-            n += 1
-        return n
+        return (a + s) // c if b > 0 else (a - s - 1) // c
 
     def frac(self) -> "ExactScalar":
         """Fractional part, the representative in [0, 1)."""

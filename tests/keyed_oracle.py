@@ -1,7 +1,7 @@
 """The comparison-based code that dyadic keys replaced, kept as oracles.
 
 - `verify_witness` is the circle witness check by region algebra: ranges
-  from `range_bounds`, the sum over C by `sum_extrema_on`, and every
+  from `range_bounds`, the sum over C by `sum_of` and `extrema_on`, and every
   support built by `support_of`, moved by `translate_region` and swept
   with U by `disjoint_inside`.
 - `orbit_shift` decides whether two points share an orbit by matching
@@ -20,7 +20,7 @@ included.
 
 from dyncomp.comparison import VerificationReport
 from dyncomp.errors import MixedAmbient
-from dyncomp.plfun import sum_extrema_on, support_of
+from dyncomp.plfun import extrema_on, sum_of, support_of
 from dyncomp.regions import (
     Region,
     arc_point_gap,
@@ -44,7 +44,7 @@ def verify_witness(system, C, U, witness):
     CC = C.closure()
     if not CC.is_empty:
         fns = [f for f, _ in witness.entries]
-        mn, mx = sum_extrema_on(fns, CC) if fns else (ZERO, ZERO)
+        mn, mx = extrema_on(sum_of(fns), CC) if fns else (ZERO, ZERO)
         if mn != ONE or mx != ONE:
             part_ok = False
             failures.append("sum over the closed set spans [%s, %s]" % (mn, mx))

@@ -547,6 +547,27 @@ def test_cli_seam_outputs_byte_identical(tmp_path, capsys, k):
     assert sha256(out) == "681e6fd5676c4e0a594214773a356d3ddd371324f5386ebaa40195c21618a827"
 
 
+def test_matched_region_needs_no_sweep(tmp_path, capsys, monkeypatch):
+    # the matched open levels, sorted by key and cut at the seam, give the
+    # region the sweeping constructor builds, on the golden spec and the
+    # seam specs (offsets 20 and 36 of the golden family, through 0)
+    seen = []
+    matched = comparison._matched
+
+    def checked(system, levels):
+        region = matched(system, levels)
+        assert region == Region(system, [(lo, hi, False, False) for lo, hi in levels])
+        seen.append(any(hi.cmp_int(1) > 0 for _, hi in levels))
+        return region
+
+    monkeypatch.setattr(comparison, "_matched", checked)
+    for text in [GOLDEN_FE_SPEC] + [seam_spec(k) for k in sorted(SEAM_SPECS)]:
+        spec = write(tmp_path, "m.spec", text)
+        assert cli.run(["compare", "--spec", spec]) == 0
+    capsys.readouterr()
+    assert len(seen) == 1 + len(SEAM_SPECS) and any(seen)  # one attempt each, a level past 1
+
+
 def test_cli_verify_rejects_zero_denominators(tmp_path, capsys):
     # a zero denominator anywhere in a certificate is a malformed file
     # (exit 1), never a raw ZeroDivisionError
@@ -681,10 +702,12 @@ def _count_calls(monkeypatch, owners, name):
 
 def test_cli_golden_work_stays_bounded(tmp_path, capsys):
     # calls to the two scalar builders over one golden compare, verify and
-    # birkhoff --check, pinned 10% above the count they first had (14,220
-    # and 19,994; 33,104 and 39,704 before flat segments, 0/1 level values
-    # and per-width trapezoids skipped their arithmetic); the count is
-    # deterministic, so it guards the work where a wall-time budget could not
+    # birkhoff --check, pinned 10% above the count they first had (7,600
+    # and 11,192; 14,220 and 19,994 before verify streamed the file into
+    # the integer checker, and 33,104 and 39,704 before flat segments, 0/1
+    # level values and per-width trapezoids skipped their arithmetic); the
+    # count is deterministic, so it guards the work where a wall-time
+    # budget could not
     spec = write(tmp_path, "golden.spec", GOLDEN_FE_SPEC)
     cert = str(tmp_path / "golden.cert")
     codes = {scalars._reduced.__code__: "_reduced", scalars._new.__code__: "_new"}
@@ -704,7 +727,7 @@ def test_cli_golden_work_stays_bounded(tmp_path, capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert codes_out == [0, 0, 0]
-    assert calls["_reduced"] <= 15_642 and calls["_new"] <= 21_993, calls
+    assert calls["_reduced"] <= 8_360 and calls["_new"] <= 12_311, calls
 
 
 def test_cli_reuses_one_parser(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dyncomp.cli import float_birkhoff_min
-from dyncomp.comparison import _translated_pieces
 from dyncomp.errors import BreakpointBudget, EmptyInput, MixedAmbient, NoGap
 from dyncomp.plfun import (
     CylinderFunction,
@@ -34,6 +33,7 @@ from dyncomp.regions import CylinderRegion, Region, translate_region
 from dyncomp.scalars import ONE, ZERO, ExactScalar, golden_theta
 from dyncomp.systems import Odometer, CircleRotation
 from prune_oracle import pruned
+from verify_oracle import translated_pieces
 
 R = ExactScalar.rational
 GOLDEN = CircleRotation(golden_theta())
@@ -564,18 +564,19 @@ def test_support_of_matches_the_constructor_form(D, data):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(ROTATIONS)), st.data())
 def test_translated_pieces_match_the_translated_support(D, data):
-    # the verifier's rotation of support arcs against the region's, and
-    # against the support of the rotated function, which moves breakpoints
+    # the old verifier's rotation of support arcs (tests/verify_oracle.py)
+    # against the region's, and against the support of the rotated
+    # function, which moves breakpoints
     system = ROTATIONS[D]
     f, g = data.draw(field_functions(D)), data.draw(field_functions(D))
     d, e = data.draw(st.integers(-40, 40)), data.draw(st.integers(-40, 40))
     pieces = set()
     for h, n in ((f, d), (g, d), (f, e)):
         moved = translate_region(system, support_of(system, h), n).pieces
-        assert set(_translated_pieces(system, [(h, n)])) == set(moved)
+        assert set(translated_pieces(system, [(h, n)])) == set(moved)
         assert moved == support_of(system, translate_fn(system, h, n)).pieces
         pieces.update(moved)
-    assert set(_translated_pieces(system, [(f, d), (g, d), (f, e)])) == pieces
+    assert set(translated_pieces(system, [(f, d), (g, d), (f, e)])) == pieces
 
 
 # -- exact window minima against the built sum and the float orbit sum

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -218,3 +219,38 @@ def test_division_by_zero_scalar_raises():
             _ = th / zero
     with pytest.raises(ZeroDivisionError):
         _ = 1 / ExactScalar(0)
+
+
+def _floor_by_bisection(a, b, c, D):
+    """floor((a + b sqrt(D))/c) for c > 0 and a non-square D, by bisection
+    on n with the exact test n <= x, that is n c - a <= b sqrt(D), decided
+    on squares and signs of integers; Fraction brackets the start."""
+    t = b * math.isqrt(b * b * D) // abs(b) if b else 0  # within 1 of b sqrt(D)
+    lo = math.floor(Fraction(a + t, c)) - 2
+    hi = lo + 5
+
+    def at_most(n):
+        y = n * c - a
+        if b > 0:
+            return y <= 0 or y * y < b * b * D
+        return y < 0 and y * y > b * b * D
+
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_most(mid):
+            lo = mid
+        else:
+            hi = mid
+    assert at_most(lo) and not at_most(lo + 1)
+    return lo
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(-10**30, 10**30).filter(bool),
+       st.integers(1, 10**25), st.integers(2, 10**6).filter(lambda d: math.isqrt(d) ** 2 != d))
+def test_floor_is_its_first_estimate(a, b, c, D):
+    # floor((a + b sqrt(D))/c) = floor(floor(a + b sqrt(D))/c): the first
+    # estimate needs no correction, for both signs of b and large values
+    x = ExactScalar(a, b, c, D)
+    assert x.floor() == _floor_by_bisection(x.a, x.b, x.c, x.D)
+    assert x.floor() == _floor_by_bisection(a, b, c, D)

@@ -89,3 +89,18 @@ def test_unread_private_names_are_found():
 def test_package_has_no_unread_private_name():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
     assert unread_private_names(trees) == []
+
+
+def test_checker_imports_only_scalars_and_errors():
+    # the circle checker's trusted base stays the scalar kernel and the
+    # error types: no PL, region, tower or comparison code
+    tree = ast.parse((SRC / "check.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {name for name in imported if name.startswith(".")}
+    assert package <= {".scalars", ".errors"}, package
+    assert imported - package <= {"array", "bisect", "itertools", "math", "operator"}, imported
